@@ -14,7 +14,7 @@ import click
 
 from .errors import HookscopeError
 from .hooks import ReportFormat, build_report, render_report
-from .image import Layout, enumerate_imports, parse_image
+from .image import Layout, parse_image
 from .procspec import load_process_spec
 from .simulate import (
     DirectNtdll,
@@ -23,11 +23,9 @@ from .simulate import (
     SyscallSite,
     TableLookup,
     apply_rewrite,
-    normalize_module_name,
     plan_rewrite,
-    resolve_call,
+    resolve_imports,
     trace_to_json,
-    verify_chain,
 )
 from .ssn import (
     SsnSearchParams,
@@ -272,47 +270,32 @@ def simulate(
 
         plan = plan_rewrite(process, built, ordered, params)
         rewritten = apply_rewrite(process, plan)
-
-        results = []
-        all_passed = True
-        ntdll_norm = normalize_module_name(rewritten.ntdll().name)
-        for target_name, _ in ordered:
-            module = rewritten.find(target_name)
-            assert module is not None
-            for imported in enumerate_imports(module.image):
-                if normalize_module_name(imported.dll_name) != ntdll_norm:
-                    continue
-                for slot in imported.slots:
-                    name = slot.imported_name
-                    if not isinstance(name, str):
-                        continue
-                    if not (name.startswith("Nt") or name.startswith("Zw")):
-                        continue
-                    trace = resolve_call(rewritten, module.name, name, plan.table)
-                    verdict = verify_chain(trace, rewritten)
-                    all_passed = all_passed and verdict.passed
-                    results.append((module.name, name, trace, verdict))
+        results = resolve_imports(rewritten, [name for name, _ in ordered], plan.table)
     except HookscopeError as exc:
         raise _fail(exc)
 
+    all_passed = all(call.verdict.passed for call in results)
     if fmt == "json":
         doc = {
             "traces": [
                 {
-                    "module": module,
-                    "function": function,
-                    "steps": trace_to_json(trace),
-                    "verdict": {"passed": verdict.passed, "reasons": list(verdict.reasons)},
+                    "module": call.module,
+                    "function": call.function,
+                    "steps": trace_to_json(call.trace),
+                    "verdict": {
+                        "passed": call.verdict.passed,
+                        "reasons": list(call.verdict.reasons),
+                    },
                 }
-                for module, function, trace, verdict in results
+                for call in results
             ],
             "all_passed": all_passed,
         }
         click.echo(json.dumps(doc, indent=2))
     else:
-        for module, function, trace, verdict in results:
-            parts = [f"{module}!{function}"]
-            for step in trace.steps[1:]:
+        for call in results:
+            parts = [f"{call.module}!{call.function}"]
+            for step in call.trace.steps[1:]:
                 if isinstance(step, StubSlot):
                     parts.append(f"Fnc{step.index:04X}")
                 elif isinstance(step, TableLookup):
@@ -323,7 +306,7 @@ def simulate(
                     parts.append(f"ntdll 0x{step.va:016x}")
                 elif isinstance(step, ForeignTarget):
                     parts.append(f"foreign 0x{step.va:016x}")
-            status = "ok" if verdict.passed else "FAIL " + ",".join(verdict.reasons)
+            status = "ok" if call.verdict.passed else "FAIL " + ",".join(call.verdict.reasons)
             click.echo(" -> ".join(parts) + f" [{status}]")
         click.echo(f"[+] Resolved {len(results)} calls")
     if not all_passed:

@@ -62,6 +62,10 @@ class SyscallNotFound(HookscopeError):
     """No syscall instruction within the scan window of a stub."""
 
 
+class SsnOutOfRange(HookscopeError):
+    """Neighbor derivation yields a service number outside 0..0xFFFF."""
+
+
 # --- syscall table ---
 
 
@@ -98,6 +102,10 @@ class UnknownImport(HookscopeError):
 
 class CorruptSlot(HookscopeError):
     """Slot value lies in the stub region but not on an entry boundary."""
+
+
+class MalformedTrace(HookscopeError):
+    """Call trace does not open with the caller module and its slot lookup."""
 
 
 # --- fixture generation ---

@@ -453,11 +453,3 @@ def enumerate_imports(image: PeImage) -> list[ImportModule]:
         modules.append(ImportModule(dll_name, tuple(slots)))
     return modules
 
-
-def with_patched_bytes(image: PeImage, offset: int, patch: bytes) -> PeImage:
-    """Return a copy of the image with `patch` written at a buffer offset."""
-    if offset < 0 or offset + len(patch) > image.extent:
-        raise OutOfRange(f"patch at {offset:#x}+{len(patch):#x} outside the buffer")
-    buf = bytearray(image.data)
-    buf[offset : offset + len(patch)] = patch
-    return dataclasses.replace(image, data=bytes(buf))

@@ -11,16 +11,18 @@ from __future__ import annotations
 import dataclasses
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     CorruptSlot,
+    MalformedTrace,
     MissingNtdll,
+    OutOfRange,
     StaleEdit,
     TargetNotLoaded,
     UnknownImport,
 )
-from .image import PeImage, enumerate_imports, rva_to_offset, with_patched_bytes
+from .image import IatSlot, PeImage, enumerate_imports, rva_to_offset
 from .ssn import SsnSearchParams
 from .table import (
     LIST_ENTRY_SIZE,
@@ -143,8 +145,29 @@ class ChainVerdict:
     reasons: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class ResolvedCall:
+    """One Nt/Zw import of a target, traced through its own slot and verified."""
+
+    module: str
+    function: str
+    trace: CallTrace
+    verdict: ChainVerdict
+
+
 def _is_native_name(name: object) -> bool:
     return isinstance(name, str) and (name.startswith("Nt") or name.startswith("Zw"))
+
+
+def _native_ntdll_slots(module: ModuleEntry, ntdll_name: str) -> Iterator[IatSlot]:
+    """The module's Nt/Zw slots imported from ntdll, in import-table order."""
+    wanted = normalize_module_name(ntdll_name)
+    for imported in enumerate_imports(module.image):
+        if normalize_module_name(imported.dll_name) != wanted:
+            continue
+        for slot in imported.slots:
+            if _is_native_name(slot.imported_name):
+                yield slot
 
 
 def plan_rewrite(
@@ -174,45 +197,40 @@ def plan_rewrite(
         module = process.find(target_name)
         if module is None:
             raise TargetNotLoaded(f"target module {target_name!r} is not loaded")
-        for imported in enumerate_imports(module.image):
-            if normalize_module_name(imported.dll_name) != normalize_module_name(ntdll.name):
+        for slot in _native_ntdll_slots(module, ntdll.name):
+            rva = index.resolve(slot.imported_name)
+            if rva is None:
                 continue
-            for slot in imported.slots:
-                if not _is_native_name(slot.imported_name):
+            va = ntdll.base + rva
+            entry_index = address_to_index.get(va)
+            if entry_index is None:
+                if not force:
                     continue
-                rva = index.resolve(slot.imported_name)
-                if rva is None:
-                    continue
-                va = ntdll.base + rva
-                entry_index = address_to_index.get(va)
-                if entry_index is None:
-                    if not force:
-                        continue
-                    entry_index = len(entries)
-                    stub_slot = config.stub_base + entry_index * config.stub_entry_size
-                    entries.append(
-                        make_entry(
-                            ntdll.image,
-                            rva,
-                            index.canonical_by_rva[rva],
-                            params,
-                            stub_slot=stub_slot,
-                        )
-                    )
-                    address_to_index[va] = entry_index
-                new_value = config.stub_base + entry_index * config.stub_entry_size
-                if slot.bound_value == new_value:
-                    continue
-                edits.append(
-                    IatEdit(
-                        module=module.name,
-                        slot_iat_rva=slot.iat_rva,
-                        function=slot.imported_name,
-                        old_value=slot.bound_value,
-                        new_value=new_value,
-                        entry_index=entry_index,
+                entry_index = len(entries)
+                stub_slot = config.stub_base + entry_index * config.stub_entry_size
+                entries.append(
+                    make_entry(
+                        ntdll.image,
+                        rva,
+                        index.canonical_by_rva[rva],
+                        params,
+                        stub_slot=stub_slot,
                     )
                 )
+                address_to_index[va] = entry_index
+            new_value = config.stub_base + entry_index * config.stub_entry_size
+            if slot.bound_value == new_value:
+                continue
+            edits.append(
+                IatEdit(
+                    module=module.name,
+                    slot_iat_rva=slot.iat_rva,
+                    function=slot.imported_name,
+                    old_value=slot.bound_value,
+                    new_value=new_value,
+                    entry_index=entry_index,
+                )
+            )
     grown = SyscallList(entries=tuple(entries), base_indices=table.base_indices)
     return RewritePlan(edits=tuple(edits), table=grown)
 
@@ -221,63 +239,53 @@ def apply_rewrite(process: ProcessModel, plan: RewritePlan) -> ProcessModel:
     """Write the planned slot values, returning a new process model.
 
     Every edit's old value must still match the live slot, which catches a
-    double apply; all bytes outside the planned slots are untouched.
+    double apply; all bytes outside the planned slots are untouched. Each
+    edited module's image is copied once, however many of its slots change.
     """
-    images = {i: entry.image for i, entry in enumerate(process.modules)}
+    index_by_name: dict[str, int] = {}
+    for i, entry in enumerate(process.modules):
+        index_by_name.setdefault(normalize_module_name(entry.name), i)
+    buffers: dict[int, bytearray] = {}
     for edit in plan.edits:
-        idx = next(
-            (
-                i
-                for i, entry in enumerate(process.modules)
-                if normalize_module_name(entry.name) == normalize_module_name(edit.module)
-            ),
-            None,
-        )
+        idx = index_by_name.get(normalize_module_name(edit.module))
         if idx is None:
             raise TargetNotLoaded(f"edit references unloaded module {edit.module!r}")
-        image = images[idx]
+        image = process.modules[idx].image
+        buf = buffers.get(idx)
+        if buf is None:
+            buf = buffers[idx] = bytearray(image.data)
         offset = rva_to_offset(image, edit.slot_iat_rva)
-        current = struct.unpack_from("<Q", image.data, offset)[0]
+        if offset + 8 > len(buf):
+            raise OutOfRange(
+                f"slot {edit.module}!{edit.function} at {offset:#x}+0x8 outside the buffer"
+            )
+        current = struct.unpack_from("<Q", buf, offset)[0]
         if current != edit.old_value:
             raise StaleEdit(
                 f"slot {edit.module}!{edit.function} holds {current:#x}, "
                 f"expected {edit.old_value:#x}"
             )
-        images[idx] = with_patched_bytes(image, offset, struct.pack("<Q", edit.new_value))
+        struct.pack_into("<Q", buf, offset, edit.new_value)
     modules = tuple(
-        dataclasses.replace(entry, image=images[i])
+        dataclasses.replace(entry, image=dataclasses.replace(entry.image, data=bytes(buffers[i])))
+        if i in buffers
+        else entry
         for i, entry in enumerate(process.modules)
     )
     return dataclasses.replace(process, modules=modules)
 
 
-def resolve_call(
-    process: ProcessModel,
-    caller_module: str,
-    imported_fn: str,
-    table: SyscallList,
+def _trace_slot(
+    process: ProcessModel, caller: ModuleEntry, slot: IatSlot, blob: bytes
 ) -> CallTrace:
-    """Trace one call through the caller's import slot.
+    """Trace a call through one import slot of the caller.
 
     A slot still holding an ntdll address is a direct call. A value inside
     the stub region is decoded to its entry index and the dispatch arithmetic
-    is emulated against the serialized table bytes (record at index*0x28,
-    syscall address at +0x10). Any other value is a foreign redirection.
+    is emulated against the serialized table bytes (count at 0, record at
+    8 + index*0x28, syscall address at +0x10). Any other value is a foreign
+    redirection.
     """
-    caller = process.find(caller_module)
-    if caller is None:
-        raise UnknownImport(f"module {caller_module!r} is not loaded")
-    slot = None
-    for imported in enumerate_imports(caller.image):
-        for candidate in imported.slots:
-            if candidate.imported_name == imported_fn:
-                slot = candidate
-                break
-        if slot is not None:
-            break
-    if slot is None:
-        raise UnknownImport(f"{caller.name!r} does not import {imported_fn!r}")
-
     ntdll = process.ntdll()
     config = process.config
     value = slot.bound_value
@@ -290,13 +298,13 @@ def resolve_call(
         steps.append(DirectNtdll(va=value))
         return CallTrace(steps=tuple(steps))
 
-    stub_end = config.stub_base + table.count * config.stub_entry_size
+    count = struct.unpack_from("<Q", blob, 0)[0]
+    stub_end = config.stub_base + count * config.stub_entry_size
     if config.stub_base <= value < stub_end:
         delta = value - config.stub_base
         if delta % config.stub_entry_size:
             raise CorruptSlot(f"slot value {value:#x} is not on a stub boundary")
         index = delta // config.stub_entry_size
-        blob = serialize_list(table)
         record = 8 + index * LIST_ENTRY_SIZE
         ssn = struct.unpack_from("<Q", blob, record)[0]
         syscall_ret = struct.unpack_from("<Q", blob, record + 0x10)[0]
@@ -311,6 +319,62 @@ def resolve_call(
     return CallTrace(steps=tuple(steps))
 
 
+def resolve_call(
+    process: ProcessModel,
+    caller_module: str,
+    imported_fn: str,
+    table: SyscallList,
+) -> CallTrace:
+    """Trace one call through the first caller slot importing `imported_fn`.
+
+    The slot is looked up by name across all of the caller's import
+    descriptors, then traced as `_trace_slot` describes. To trace every
+    Nt/Zw import of a module, use `resolve_imports`, which walks the imports
+    and serializes the table once.
+    """
+    caller = process.find(caller_module)
+    if caller is None:
+        raise UnknownImport(f"module {caller_module!r} is not loaded")
+    slot = next(
+        (
+            candidate
+            for imported in enumerate_imports(caller.image)
+            for candidate in imported.slots
+            if candidate.imported_name == imported_fn
+        ),
+        None,
+    )
+    if slot is None:
+        raise UnknownImport(f"{caller.name!r} does not import {imported_fn!r}")
+    return _trace_slot(process, caller, slot, serialize_list(table))
+
+
+def resolve_imports(
+    process: ProcessModel, targets: Sequence[str], table: SyscallList
+) -> tuple[ResolvedCall, ...]:
+    """Trace and verify every Nt/Zw import each target takes from ntdll.
+
+    Targets are visited in the given order and each slot in import-table
+    order. Every target's imports are walked once and the table is
+    serialized once, so the work is linear in imports. Each trace goes
+    through the slot being walked, even when another descriptor imports the
+    same name. A target absent from the process is an error.
+    """
+    ntdll_name = process.ntdll().name
+    blob = serialize_list(table)
+    results: list[ResolvedCall] = []
+    for target_name in targets:
+        module = process.find(target_name)
+        if module is None:
+            raise TargetNotLoaded(f"target module {target_name!r} is not loaded")
+        for slot in _native_ntdll_slots(module, ntdll_name):
+            trace = _trace_slot(process, module, slot, blob)
+            results.append(
+                ResolvedCall(module.name, slot.imported_name, trace, verify_chain(trace, process))
+            )
+    return tuple(results)
+
+
 def verify_chain(trace: CallTrace, process: ProcessModel) -> ChainVerdict:
     """Check the address-level transparency of a resolved call.
 
@@ -321,9 +385,13 @@ def verify_chain(trace: CallTrace, process: ProcessModel) -> ChainVerdict:
     ntdll = process.ntdll()
     reasons: list[str] = []
 
-    caller_step = trace.steps[0]
-    lookup = trace.steps[1]
-    assert isinstance(caller_step, CallerModule) and isinstance(lookup, IatLookup)
+    if not (
+        len(trace.steps) >= 2
+        and isinstance(trace.steps[0], CallerModule)
+        and isinstance(trace.steps[1], IatLookup)
+    ):
+        raise MalformedTrace("trace does not open with the caller module and its slot lookup")
+    caller_step, lookup = trace.steps[0], trace.steps[1]
     caller = process.find(caller_step.module)
     if caller is None:
         reasons.append("CallerUnloaded")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NoCleanNeighbor, NoZwExports, OutOfRange, WrongLayout
+from .errors import NoCleanNeighbor, NoZwExports, OutOfRange, SsnOutOfRange, WrongLayout
 from .image import Layout, PeImage, enumerate_exports
 
 # mov r10, rcx ; mov eax, imm -- with the immediate's high word zero
@@ -19,6 +19,7 @@ CLEAN_PROLOGUE_HEAD = b"\x4c\x8b\xd1\xb8"
 SYSCALL_OPCODE = b"\x0f\x05"
 
 _MASK64 = (1 << 64) - 1
+_MAX_SSN = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ def derive_ssn_neighbors(ntdll: PeImage, entry_va: int, params: SsnSearchParams)
     strides are probed outward; a clean stub k positions below (higher
     address) carries this stub's number plus k, one above carries it minus k,
     so the result is the neighbor's number adjusted by the whole distance k.
+    A result outside the 16-bit range of a stub immediate is an error.
     """
     _require_loaded(ntdll)
     if not ntdll.image_base <= entry_va < ntdll.image_base + ntdll.extent:
@@ -82,13 +84,21 @@ def derive_ssn_neighbors(ntdll: PeImage, entry_va: int, params: SsnSearchParams)
     for idx in range(1, params.max_neighbours + 1):
         down = _clean_ssn_at(ntdll, entry_va + idx * params.stride_bytes)
         if down is not None:
-            return down - idx
+            ssn = down - idx
+            break
         up = _clean_ssn_at(ntdll, entry_va - idx * params.stride_bytes)
         if up is not None:
-            return up + idx
-    raise NoCleanNeighbor(
-        f"no intact stub within {params.max_neighbours} strides of {entry_va:#x}"
-    )
+            ssn = up + idx
+            break
+    else:
+        raise NoCleanNeighbor(
+            f"no intact stub within {params.max_neighbours} strides of {entry_va:#x}"
+        )
+    if not 0 <= ssn <= _MAX_SSN:
+        raise SsnOutOfRange(
+            f"neighbors of {entry_va:#x} derive service number {ssn}, outside 0..{_MAX_SSN:#x}"
+        )
+    return ssn
 
 
 def find_syscall_instruction(

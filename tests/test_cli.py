@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,6 +9,9 @@ from click.testing import CliRunner
 
 from hookscope.cli import main
 from hookscope.errors import SpecInvalid, UnresolvedImport
+import hookscope.cli
+from hookscope import BASE_FUNCTIONS
+import hookscope.simulate
 from hookscope.fixtures import GarbageHook, NtdllSpec, build_synthetic_ntdll
 from hookscope.procspec import load_process_spec
 
@@ -315,6 +319,38 @@ class TestTableCommand:
         )
         assert result.exit_code == 2
 
+    def test_negative_derived_ssn_exit_two(self, runner, tmp_path):
+        # a hooked stub whose nearest intact neighbour, one stride below,
+        # carries immediate 0: the neighbour route derives 0 - 1
+        functions = (("ZwAccessCheck", 1), ("ZwAddAtom", 0)) + tuple(
+            (name, 2 + i) for i, name in enumerate(BASE_FUNCTIONS)
+        )
+        image = build_synthetic_ntdll(
+            NtdllSpec(functions=functions, hooks={"ZwAccessCheck": GarbageHook()})
+        )
+        dump = tmp_path / "ntdll.dump"
+        dump.write_bytes(image.data)
+        result = runner.invoke(
+            main,
+            [
+                "table",
+                str(dump),
+                "--base",
+                f"{image.image_base:x}",
+                "--out",
+                str(tmp_path / "t.bin"),
+            ],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "service number -1" in result.output
+
+
+def assert_typed_exit(result):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
+
 
 class TestSimulateCommand:
     def test_reference_flow_shows_slot_two(self, runner, tmp_path):
@@ -383,3 +419,67 @@ class TestSimulateCommand:
         forced = runner.invoke(main, ["simulate", str(path), "--force", "kernelbase"])
         assert forced.exit_code == 0
         assert "ZwFiller0003 -> Fnc000C" in forced.output  # grown entry index 12
+
+    def test_one_import_walk_and_one_serialization_per_target(
+        self, runner, tmp_path, monkeypatch
+    ):
+        doc = scenario_spec_doc()
+        doc["modules"].append(
+            {
+                "name": "advapi32",
+                "base": "0x00007ffead000000",
+                "inline_fixture": {
+                    "type": "module",
+                    "imports": [["ntdll.dll", "NtOpenProcess"], ["ntdll.dll", "ZwFiller0003"]],
+                },
+            }
+        )
+        path = write_spec(tmp_path, doc)
+        calls = {"walks": 0, "serializations": 0}
+
+        def spy(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            hookscope.simulate,
+            "enumerate_imports",
+            spy("walks", hookscope.simulate.enumerate_imports),
+        )
+        monkeypatch.setattr(
+            hookscope.simulate,
+            "serialize_list",
+            spy("serializations", hookscope.simulate.serialize_list),
+        )
+        result = runner.invoke(
+            main,
+            ["simulate", str(path), "--force", "kernelbase", "--force", "advapi32"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "Resolved 14 calls" in result.output
+        assert calls["walks"] <= 2 * 2
+        assert calls["serializations"] == 1
+
+    def test_target_lost_after_rewrite_exit_two(self, runner, tmp_path, monkeypatch):
+        path = write_spec(tmp_path, scenario_spec_doc())
+        apply = hookscope.cli.apply_rewrite
+
+        def drop_targets(process, plan):
+            ntdll = apply(process, plan).ntdll()
+            return dataclasses.replace(process, modules=(ntdll,), ntdll_index=0)
+
+        monkeypatch.setattr(hookscope.cli, "apply_rewrite", drop_targets)
+        result = runner.invoke(main, ["simulate", str(path), "--target", "kernelbase"])
+        assert_typed_exit(result)
+        assert "'kernelbase' is not loaded" in result.output
+
+    def test_malformed_trace_exit_two(self, runner, tmp_path, monkeypatch):
+        path = write_spec(tmp_path, scenario_spec_doc())
+        monkeypatch.setattr(
+            hookscope.simulate, "_trace_slot", lambda *args: hookscope.simulate.CallTrace(steps=())
+        )
+        result = runner.invoke(main, ["simulate", str(path), "--target", "kernelbase"])
+        assert_typed_exit(result)

@@ -17,10 +17,18 @@ from hookscope import (
     hash_name,
     plan_rewrite,
     resolve_call,
+    resolve_imports,
     serialize_list,
     verify_chain,
 )
-from hookscope.errors import CorruptSlot, StaleEdit, TargetNotLoaded, UnknownImport
+from hookscope.errors import (
+    CorruptSlot,
+    MalformedTrace,
+    OutOfRange,
+    StaleEdit,
+    TargetNotLoaded,
+    UnknownImport,
+)
 from hookscope.fixtures import (
     ModuleSpec,
     build_process_model,
@@ -28,9 +36,12 @@ from hookscope.fixtures import (
 )
 from hookscope.simulate import (
     CallerModule,
+    CallTrace,
     DirectNtdll,
     ForeignTarget,
+    IatEdit,
     IatLookup,
+    RewritePlan,
     StubSlot,
     SyscallSite,
     TableLookup,
@@ -39,6 +50,7 @@ from hookscope.simulate import (
 
 from conftest import (
     EXPECTED_TABLE,
+    KERNELBASE_BASE,
     STUB_BASE,
     make_scenario_process,
     positioned_functions,
@@ -207,6 +219,20 @@ class TestApplyRewrite:
         assert len(diff) > 0
         assert process.ntdll().image.data == rewritten.ntdll().image.data
 
+    def test_slot_past_buffer_raises_out_of_range(self):
+        process, table = scenario_with_table()
+        extent = process.find("kernelbase").image.extent
+        edit = IatEdit(
+            module="kernelbase",
+            slot_iat_rva=extent - 4,
+            function="NtOpenProcess",
+            old_value=0,
+            new_value=STUB_BASE,
+            entry_index=0,
+        )
+        with pytest.raises(OutOfRange):
+            apply_rewrite(process, RewritePlan(edits=(edit,), table=table))
+
 
 class TestResolveCall:
     def test_pre_rewrite_direct(self):
@@ -286,6 +312,72 @@ class TestResolveCall:
             assert stub.index == edit.entry_index
 
 
+def native_ntdll_imports(process, module):
+    return [
+        slot.imported_name
+        for imported in enumerate_imports(process.find(module).image)
+        if imported.dll_name == "ntdll.dll"
+        for slot in imported.slots
+        if slot.imported_name.startswith(("Nt", "Zw"))
+    ]
+
+
+class TestResolveImports:
+    @pytest.mark.parametrize("rewrite", [False, True])
+    def test_matches_resolve_call_per_import(self, rewrite):
+        process = make_scenario_process(tamper={"NtOpenProcess": 0x00007FF9E132D610})
+        table = assign_stub_slots(
+            build_syscall_list(process.ntdll().image, PARAMS), process.config
+        )
+        if rewrite:
+            plan = plan_rewrite(process, table, [("kernelbase", False)])
+            process, table = apply_rewrite(process, plan), plan.table
+        calls = resolve_imports(process, ["kernelbase"], table)
+        names = native_ntdll_imports(process, "kernelbase")
+        assert [c.function for c in calls] == names
+        for call, name in zip(calls, names):
+            trace = resolve_call(process, "kernelbase", name, table)
+            assert call.module == "kernelbase"
+            assert call.trace == trace
+            assert call.verdict == verify_chain(trace, process)
+        ends = {type(c.trace.steps[-1]) for c in calls}
+        assert ends == ({SyscallSite} if rewrite else {DirectNtdll, ForeignTarget})
+
+    def test_each_import_traces_its_own_slot(self, scenario_ntdll):
+        # kernel32's descriptor imports the same name ahead of ntdll's
+        foreign = 0x00007FFEA0001000
+        module = build_synthetic_module(
+            ModuleSpec(
+                name="caller",
+                imports=(("kernel32.dll", "NtOpenProcess"), ("ntdll.dll", "NtOpenProcess")),
+            ),
+            {
+                ("kernel32.dll", "NtOpenProcess"): foreign,
+                ("ntdll.dll", "NtOpenProcess"): scenario_ntdll.image_base + 0x9CFC0 + 38 * 32,
+            },
+            image_base=KERNELBASE_BASE,
+        )
+        process = build_process_model(
+            scenario_ntdll,
+            [("caller", module)],
+            [KERNELBASE_BASE],
+            RewriteConfig(stub_base=STUB_BASE),
+        )
+        table = assign_stub_slots(build_syscall_list(scenario_ntdll, PARAMS), process.config)
+        plan = plan_rewrite(process, table, [("caller", False)])
+        rewritten = apply_rewrite(process, plan)
+        [call] = resolve_imports(rewritten, ["caller"], plan.table)
+        assert call.function == "NtOpenProcess"
+        assert trace_to_json(call.trace)[-1]["step"] == "syscall_site"
+        assert call.trace.steps[3].ssn == 38
+        assert call.verdict.passed
+
+    def test_unloaded_target_raises(self):
+        process, table = scenario_with_table()
+        with pytest.raises(TargetNotLoaded):
+            resolve_imports(process, ["kernelbase", "bcrypt"], table)
+
+
 class TestVerifyChain:
     def test_rewritten_chain_passes(self):
         process, table = scenario_with_table()
@@ -310,6 +402,15 @@ class TestVerifyChain:
         verdict = verify_chain(trace, process)
         assert not verdict.passed
         assert "OutsideNtdll" in verdict.reasons
+
+    @pytest.mark.parametrize(
+        "steps",
+        [(), (SyscallSite(va=0x00007FFEB258E8F2),), (IatLookup(0, 0), CallerModule("kernelbase"))],
+    )
+    def test_malformed_trace_is_typed_error(self, steps):
+        process, _ = scenario_with_table()
+        with pytest.raises(MalformedTrace):
+            verify_chain(CallTrace(steps=steps), process)
 
 
 class TestRewriteClosure:

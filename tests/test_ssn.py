@@ -13,7 +13,7 @@ from hookscope import (
     hash_name,
     read_clean_ssn,
 )
-from hookscope.errors import NoCleanNeighbor, NoZwExports
+from hookscope.errors import NoCleanNeighbor, NoZwExports, SsnOutOfRange
 from hookscope.fixtures import (
     GarbageHook,
     JmpRel32Hook,
@@ -94,6 +94,22 @@ class TestNeighborDerivation:
             NtdllSpec(functions=functions, hooks={"NtEdge": GarbageHook()})
         )
         assert derive_ssn_neighbors(image, image.image_base + 0x1000, PARAMS) == 0xFF
+
+    @pytest.mark.parametrize(
+        "functions, hooked",
+        [
+            # clean 0 one stride below derives 0 - 1
+            ((("NtHooked", 1), ("ZwBelow", 0)), 0),
+            # clean 0xFFFF one stride above derives 0xFFFF + 1
+            ((("ZwAbove", 0xFFFF), ("NtHooked", 1)), 1),
+        ],
+    )
+    def test_derived_number_outside_16_bits_is_typed_error(self, functions, hooked):
+        image = build_synthetic_ntdll(
+            NtdllSpec(functions=functions, hooks={"NtHooked": GarbageHook()})
+        )
+        with pytest.raises(SsnOutOfRange):
+            derive_ssn_neighbors(image, image.image_base + 0x1000 + hooked * 32, PARAMS)
 
     def test_downward_neighbor_preferred_at_equal_distance(self):
         # both direct neighbors clean: the one at the higher address is

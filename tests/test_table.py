@@ -17,7 +17,7 @@ from hookscope import (
     hash_name,
     serialize_list,
 )
-from hookscope.errors import MalformedBlob, MissingBaseFunction, TableFull
+from hookscope.errors import MalformedBlob, MissingBaseFunction, SsnOutOfRange, TableFull
 from hookscope.fixtures import GarbageHook, NtdllSpec, build_synthetic_ntdll
 from hookscope.table import LIST_ENTRY_SIZE, debug_dump
 
@@ -157,6 +157,17 @@ class TestBuild:
         )
         with pytest.raises(NoCleanNeighbor):
             build_syscall_list(image, SsnSearchParams(max_neighbours=2))
+
+    def test_negative_derived_ssn_is_typed_error(self):
+        # a hooked stub followed by a clean stub whose immediate is 0
+        functions = (("ZwAccessCheck", 1), ("ZwAddAtom", 0)) + tuple(
+            (name, 2 + i) for i, name in enumerate(BASE_FUNCTIONS)
+        )
+        image = build_synthetic_ntdll(
+            NtdllSpec(functions=functions, hooks={"ZwAccessCheck": GarbageHook()})
+        )
+        with pytest.raises(SsnOutOfRange):
+            build_syscall_list(image, PARAMS)
 
 
 class TestStubSlots:
