@@ -7,11 +7,13 @@ read, or modify a running process. Exit codes are the only pass/fail channel:
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
 import click
 
+from . import __version__
 from .errors import HookscopeError
 from .hooks import ReportFormat, build_report, render_report
 from .image import Layout, parse_image
@@ -34,7 +36,6 @@ from .ssn import (
     read_clean_ssn,
 )
 from .table import (
-    NativeExportIndex,
     assign_stub_slots,
     build_syscall_list,
     debug_dump,
@@ -77,6 +78,28 @@ def _fail(exc: Exception) -> "click.exceptions.Exit":
     return click.exceptions.Exit(EXIT_ERROR)
 
 
+def _prints_output(work):
+    """Turn a function returning (output, exit code) into a command callback.
+
+    A typed error or an OSError exits 2. `work` has returned before `Exit` is
+    raised, and an error it raised is reported without its traceback, so a
+    caller that keeps the exit's traceback and context (as CliRunner does)
+    keeps no frame of `work`, and with it no image or process.
+    """
+
+    @functools.wraps(work)
+    def command(**kwargs) -> None:
+        try:
+            output, code = work(**kwargs)
+        except (HookscopeError, OSError) as exc:
+            raise _fail(exc.with_traceback(None))
+        click.echo(output, nl=False)
+        if code != EXIT_CLEAN:
+            raise click.exceptions.Exit(code)
+
+    return command
+
+
 layout_option = click.option(
     "--layout", type=click.Choice(["file", "loaded"]), default="loaded", show_default=True
 )
@@ -90,7 +113,7 @@ scan_limit_option = click.option("--scan-limit", type=int, default=512, show_def
 
 
 @click.group()
-@click.version_option()
+@click.version_option(version=__version__)
 def main() -> None:
     """Static PE hook scanner, syscall-number resolver, and rewrite simulator."""
 
@@ -108,28 +131,24 @@ def _looks_like_spec(path: Path) -> bool:
 @layout_option
 @base_option
 @format_option
-def scan(input: str, layout: str, base: str | None, fmt: str) -> None:
+@_prints_output
+def scan(input: str, layout: str, base: str | None, fmt: str) -> tuple[str, int]:
     """Scan for inline hooks (PE image) or inline + IAT hooks (process spec)."""
     path = Path(input)
-    try:
-        if _looks_like_spec(path):
-            process = load_process_spec(path)
-            report = build_report(process=process)
-            if fmt == "text":
-                click.echo("[+] Listing loaded modules")
-                click.echo("-----")
-                for entry in process.modules:
-                    click.echo(f"{entry.name} is loaded at 0x{entry.base:016x}.")
-                click.echo("")
-        else:
-            image = _load_image(input, layout, base)
-            report = build_report(ntdll=image)
-    except HookscopeError as exc:
-        raise _fail(exc)
-    click.echo(render_report(report, ReportFormat(fmt)).decode(), nl=False)
+    output = ""
+    if _looks_like_spec(path):
+        process = load_process_spec(path)
+        report = build_report(process=process)
+        if fmt == "text":
+            output = "[+] Listing loaded modules\n-----\n"
+            for entry in process.modules:
+                output += f"{entry.name} is loaded at 0x{entry.base:016x}.\n"
+            output += "\n"
+    else:
+        report = build_report(ntdll=_load_image(input, layout, base))
+    output += render_report(report, ReportFormat(fmt)).decode()
     findings = bool(report.ntdll_findings) or any(report.per_module.values())
-    if findings:
-        raise click.exceptions.Exit(EXIT_FINDINGS)
+    return output, EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
 @main.command()
@@ -146,6 +165,7 @@ def scan(input: str, layout: str, base: str | None, fmt: str) -> None:
 @stride_option
 @neighbours_option
 @scan_limit_option
+@_prints_output
 def ssn(
     ntdll: str,
     method: str,
@@ -155,36 +175,35 @@ def ssn(
     stride: int,
     max_neighbours: int,
     scan_limit: int,
-) -> None:
+) -> tuple[str, int]:
     """Resolve service numbers for the Nt/Zw exports of an ntdll-like image."""
-    try:
-        image = _load_image(ntdll, layout, base)
-        params = _params(stride, max_neighbours, scan_limit)
-        derived: list[str] = []
-        if method == "sort":
-            mapping = derive_ssn_by_sort(image)
-        else:
-            index = NativeExportIndex(image)
-            mapping = {}
-            for rva, name in sorted(index.canonical_by_rva.items(), key=lambda kv: kv[1]):
-                prologue = image.data[rva : rva + 8]
-                direct = read_clean_ssn(prologue)
-                if method == "prologue":
-                    if direct is not None:
-                        mapping[name] = direct
-                    continue
-                mapping[name] = derive_ssn_neighbors(image, image.image_base + rva, params)
-                if direct is None:
-                    derived.append(name)
-    except HookscopeError as exc:
-        raise _fail(exc)
+    image = _load_image(ntdll, layout, base)
+    params = _params(stride, max_neighbours, scan_limit)
+    derived: list[str] = []
+    if method == "sort":
+        mapping = derive_ssn_by_sort(image)
+    else:
+        canonical = image.native_exports.canonical_by_rva
+        mapping = {}
+        for rva, name in sorted(canonical.items(), key=lambda kv: kv[1]):
+            prologue = image.data[rva : rva + 8]
+            direct = read_clean_ssn(prologue)
+            if method == "prologue":
+                if direct is not None:
+                    mapping[name] = direct
+                continue
+            mapping[name] = derive_ssn_neighbors(image, image.image_base + rva, params)
+            if direct is None:
+                derived.append(name)
 
     if fmt == "json":
-        click.echo(json.dumps({"method": method, "ssns": mapping, "derived": derived}, indent=2))
-    else:
-        for name in sorted(mapping):
-            suffix = " (derived)" if name in derived else ""
-            click.echo(f"{name} {mapping[name]}{suffix}")
+        doc = {"method": method, "ssns": mapping, "derived": derived}
+        return json.dumps(doc, indent=2) + "\n", EXIT_CLEAN
+    lines = []
+    for name in sorted(mapping):
+        suffix = " (derived)" if name in derived else ""
+        lines.append(f"{name} {mapping[name]}{suffix}\n")
+    return "".join(lines), EXIT_CLEAN
 
 
 @main.command()
@@ -197,6 +216,7 @@ def ssn(
 @stride_option
 @neighbours_option
 @scan_limit_option
+@_prints_output
 def table(
     ntdll: str,
     out: str,
@@ -207,31 +227,27 @@ def table(
     stride: int,
     max_neighbours: int,
     scan_limit: int,
-) -> None:
+) -> tuple[str, int]:
     """Build the syscall table over an ntdll image; write blob + JSON dump."""
-    try:
-        image = _load_image(ntdll, "loaded", base)
-        params = _params(stride, max_neighbours, scan_limit)
-        built = build_syscall_list(image, params, extra_names=extra)
-        blob = serialize_list(built)
-        Path(out).write_bytes(blob)
-        rows = debug_dump(built, image)
-        dump = {
-            "count": built.count,
-            "entries": rows,
-            "base_indices": list(built.base_indices),
-        }
-        json_path = Path(json_out) if json_out else Path(out).with_suffix(".json")
-        json_path.write_text(json.dumps(dump, indent=2) + "\n")
-    except HookscopeError as exc:
-        raise _fail(exc)
+    image = _load_image(ntdll, "loaded", base)
+    params = _params(stride, max_neighbours, scan_limit)
+    built = build_syscall_list(image, params, extra_names=extra)
+    blob = serialize_list(built)
+    Path(out).write_bytes(blob)
+    rows = debug_dump(built, image)
+    dump = {
+        "count": built.count,
+        "entries": rows,
+        "base_indices": list(built.base_indices),
+    }
+    json_text = json.dumps(dump, indent=2) + "\n"
+    json_path = Path(json_out) if json_out else Path(out).with_suffix(".json")
+    json_path.write_text(json_text)
     if fmt == "json":
-        click.echo(json.dumps(dump, indent=2))
-    else:
-        for row in rows:
-            click.echo(f"e[{row['index']}] {row['name']} {row['ssn']} {row['address']}")
-        click.echo(f"[+] Mapped {built.count} functions")
-        click.echo(f"[*] Blob: {out} ({len(blob)} bytes)")
+        return json_text, EXIT_CLEAN
+    lines = [f"e[{row['index']}] {row['name']} {row['ssn']} {row['address']}" for row in rows]
+    lines += [f"[+] Mapped {built.count} functions", f"[*] Blob: {out} ({len(blob)} bytes)"]
+    return "\n".join(lines) + "\n", EXIT_CLEAN
 
 
 @main.command()
@@ -243,6 +259,7 @@ def table(
 @stride_option
 @neighbours_option
 @scan_limit_option
+@_prints_output
 def simulate(
     process_spec: str,
     table_blob: str | None,
@@ -252,29 +269,27 @@ def simulate(
     stride: int,
     max_neighbours: int,
     scan_limit: int,
-) -> None:
+) -> tuple[str, int]:
     """Plan and apply the IAT rewrite, then resolve every Nt/Zw import."""
-    try:
-        process = load_process_spec(process_spec)
-        params = _params(stride, max_neighbours, scan_limit)
-        if table_blob is not None:
-            built = deserialize_list(Path(table_blob).read_bytes())
-        else:
-            built = build_syscall_list(process.ntdll().image, params)
-        built = assign_stub_slots(built, process.config)
+    process = load_process_spec(process_spec)
+    params = _params(stride, max_neighbours, scan_limit)
+    if table_blob is not None:
+        built = deserialize_list(Path(table_blob).read_bytes())
+    else:
+        built = build_syscall_list(process.ntdll().image, params)
+    built = assign_stub_slots(built, process.config)
 
-        ordered = [(name, name in forced) for name in targets]
-        for name in forced:
-            if name not in targets:
-                ordered.append((name, True))
+    ordered = [(name, name in forced) for name in targets]
+    for name in forced:
+        if name not in targets:
+            ordered.append((name, True))
 
-        plan = plan_rewrite(process, built, ordered, params)
-        rewritten = apply_rewrite(process, plan)
-        results = resolve_imports(rewritten, [name for name, _ in ordered], plan.table)
-    except HookscopeError as exc:
-        raise _fail(exc)
+    plan = plan_rewrite(process, built, ordered, params)
+    rewritten = apply_rewrite(process, plan)
+    results = resolve_imports(rewritten, [name for name, _ in ordered], plan.table)
 
     all_passed = all(call.verdict.passed for call in results)
+    code = EXIT_CLEAN if all_passed else EXIT_FINDINGS
     if fmt == "json":
         doc = {
             "traces": [
@@ -291,27 +306,25 @@ def simulate(
             ],
             "all_passed": all_passed,
         }
-        click.echo(json.dumps(doc, indent=2))
-    else:
-        for call in results:
-            parts = [f"{call.module}!{call.function}"]
-            for step in call.trace.steps[1:]:
-                if isinstance(step, StubSlot):
-                    parts.append(f"Fnc{step.index:04X}")
-                elif isinstance(step, TableLookup):
-                    parts.append(f"ssn {step.ssn}")
-                elif isinstance(step, SyscallSite):
-                    parts.append(f"syscall 0x{step.va:016x}")
-                elif isinstance(step, DirectNtdll):
-                    parts.append(f"ntdll 0x{step.va:016x}")
-                elif isinstance(step, ForeignTarget):
-                    parts.append(f"foreign 0x{step.va:016x}")
-            status = "ok" if call.verdict.passed else "FAIL " + ",".join(call.verdict.reasons)
-            click.echo(" -> ".join(parts) + f" [{status}]")
-        click.echo(f"[+] Resolved {len(results)} calls")
-    if not all_passed:
-        raise click.exceptions.Exit(EXIT_FINDINGS)
-
+        return json.dumps(doc, indent=2) + "\n", code
+    lines = []
+    for call in results:
+        parts = [f"{call.module}!{call.function}"]
+        for step in call.trace.steps[1:]:
+            if isinstance(step, StubSlot):
+                parts.append(f"Fnc{step.index:04X}")
+            elif isinstance(step, TableLookup):
+                parts.append(f"ssn {step.ssn}")
+            elif isinstance(step, SyscallSite):
+                parts.append(f"syscall 0x{step.va:016x}")
+            elif isinstance(step, DirectNtdll):
+                parts.append(f"ntdll 0x{step.va:016x}")
+            elif isinstance(step, ForeignTarget):
+                parts.append(f"foreign 0x{step.va:016x}")
+        status = "ok" if call.verdict.passed else "FAIL " + ",".join(call.verdict.reasons)
+        lines.append(" -> ".join(parts) + f" [{status}]")
+    lines.append(f"[+] Resolved {len(results)} calls")
+    return "\n".join(lines) + "\n", code
 
 if __name__ == "__main__":
     main()

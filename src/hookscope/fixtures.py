@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .errors import OverlappingRanges, SpecInvalid, UnresolvedImport
-from .image import Layout, PeImage, parse_image
+from .image import Layout, PeImage, _sibling_spelling, parse_image
 from .simulate import ModuleEntry, ProcessModel
 from .table import RewriteConfig
 
@@ -104,14 +104,6 @@ def _validate_ntdll_spec(spec: NtdllSpec) -> None:
     fwd_names = [name for name, _ in spec.forwarders]
     if len(set(fwd_names)) != len(fwd_names) or set(fwd_names) & set(names):
         raise SpecInvalid("forwarder names must be unique and distinct from functions")
-
-
-def _sibling_spelling(name: str) -> str | None:
-    if name.startswith("Zw"):
-        return "Nt" + name[2:]
-    if name.startswith("Nt"):
-        return "Zw" + name[2:]
-    return None
 
 
 def _clean_body(ssn: int, stride: int, syscall_offset: int) -> bytearray:

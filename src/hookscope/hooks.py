@@ -16,7 +16,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import WrongLayout
-from .image import Layout, PeImage, enumerate_exports, enumerate_imports
+from .image import Layout, PeImage, _is_native_name, enumerate_imports
 from .simulate import normalize_module_name
 from .ssn import read_clean_ssn
 
@@ -54,16 +54,6 @@ class ScanReport:
     mapped_function_count: int
 
 
-def _native_named_exports(image: PeImage) -> list[tuple[str, int]]:
-    out = []
-    for entry in enumerate_exports(image):
-        if entry.name is None or entry.forwarded_to is not None:
-            continue
-        if entry.name.startswith("Nt") or entry.name.startswith("Zw"):
-            out.append((entry.name, entry.rva))
-    return out
-
-
 def decode_jmp_rel32(entry_va: int, prologue: bytes) -> int:
     """Target of an E9 rel32 jump at entry_va: next-instruction va plus the
     sign-extended displacement."""
@@ -80,7 +70,7 @@ def scan_inline_hooks(ntdll: PeImage) -> list[HookFinding]:
     if ntdll.layout is not Layout.LOADED:
         raise WrongLayout("prologue scan requires a loaded-layout image")
     findings: list[HookFinding] = []
-    for name, rva in _native_named_exports(ntdll):
+    for name, rva in ntdll.native_exports.named:
         if rva + 8 > ntdll.extent:
             log.warning("export %s points outside the mapped extent; skipped", name)
             continue
@@ -110,15 +100,7 @@ def scan_inline_hooks(ntdll: PeImage) -> list[HookFinding]:
 
 def mapped_function_count(ntdll: PeImage) -> int:
     """Number of Nt/Zw exports an inline scan examines."""
-    return len(_native_named_exports(ntdll))
-
-
-def _sibling_spelling(name: str) -> str | None:
-    if name.startswith("Zw"):
-        return "Nt" + name[2:]
-    if name.startswith("Nt"):
-        return "Zw" + name[2:]
-    return None
+    return len(ntdll.native_exports.named)
 
 
 def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
@@ -128,17 +110,7 @@ def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
     its slots are faithful), keyed and ordered by module name.
     """
     ntdll = process.ntdll()
-    exports: dict[str, int] = {}
-    for name, rva in _native_named_exports(ntdll.image):
-        exports[name] = ntdll.base + rva
-
-    def expected_va(name: str) -> int | None:
-        va = exports.get(name)
-        if va is None:
-            sibling = _sibling_spelling(name)
-            if sibling is not None:
-                va = exports.get(sibling)
-        return va
+    index = ntdll.image.native_exports
 
     results: dict[str, list[HookFinding]] = {}
     for i, module in enumerate(process.modules):
@@ -152,18 +124,17 @@ def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
             references_ntdll = True
             for slot in imported.slots:
                 name = slot.imported_name
-                if not isinstance(name, str):
+                if not _is_native_name(name):
                     continue
-                if not (name.startswith("Nt") or name.startswith("Zw")):
-                    continue
-                expected = expected_va(name)
-                if expected is None:
+                rva = index.resolve(name)
+                if rva is None:
                     log.warning(
                         "%s imports %s from ntdll but ntdll does not export it",
                         module.name,
                         name,
                     )
                     continue
+                expected = ntdll.base + rva
                 if slot.bound_value != expected:
                     findings.append(
                         HookFinding(

@@ -8,6 +8,7 @@ errors.py, never an unbounded read or an uncaught exception.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import struct
 from dataclasses import dataclass
@@ -119,6 +120,14 @@ class PeImage:
     @property
     def extent(self) -> int:
         return len(self.data)
+
+    @functools.cached_property
+    def native_exports(self) -> NativeExportIndex:
+        """The Nt/Zw export index, built on first use and kept with this image.
+
+        `dataclasses.replace` returns a new image, which builds its own.
+        """
+        return NativeExportIndex(self)
 
 
 def _u16(data: bytes, off: int) -> int:
@@ -320,11 +329,10 @@ def _read_cstring(image: PeImage, rva: int, max_len: int = _MAX_NAME_LEN) -> Opt
         off = rva_to_offset(image, rva)
     except UnmappedRva:
         return None
-    chunk = image.data[off : min(image.extent, off + max_len)]
-    nul = chunk.find(b"\x00")
+    nul = image.data.find(b"\x00", off, min(image.extent, off + max_len))
     if nul < 0:
         return None
-    return chunk[:nul].decode("latin-1")
+    return image.data[off:nul].decode("latin-1")
 
 
 def enumerate_exports(image: PeImage) -> list[ExportEntry]:
@@ -358,7 +366,9 @@ def enumerate_exports(image: PeImage) -> list[ExportEntry]:
     except (Truncated, UnmappedRva) as exc:
         raise CorruptDirectory(f"export tables inconsistent with buffer: {exc}") from exc
 
-    functions = list(struct.unpack_from(f"<{num_funcs}I", functions_raw)) if num_funcs else []
+    functions = struct.unpack(f"<{num_funcs}I", functions_raw)
+    name_rvas = struct.unpack(f"<{num_names}I", names_raw)
+    ordinals = struct.unpack(f"<{num_names}H", ordinals_raw)
     dir_end = dir_rva + dir_size
 
     def _forward(rva: int) -> Optional[str]:
@@ -368,9 +378,7 @@ def enumerate_exports(image: PeImage) -> list[ExportEntry]:
 
     entries: list[ExportEntry] = []
     named_slots: set[int] = set()
-    for j in range(num_names):
-        name_rva = struct.unpack_from("<I", names_raw, 4 * j)[0]
-        ord_idx = struct.unpack_from("<H", ordinals_raw, 2 * j)[0]
+    for j, (name_rva, ord_idx) in enumerate(zip(name_rvas, ordinals)):
         name = _read_cstring(image, name_rva)
         if name is None:
             log.warning("export name %d has unreadable name rva %#x; skipped", j, name_rva)
@@ -390,6 +398,52 @@ def enumerate_exports(image: PeImage) -> list[ExportEntry]:
             continue
         entries.append(ExportEntry(None, ordinal_base + i, rva, _forward(rva)))
     return entries
+
+
+def _is_native_name(name: object) -> bool:
+    return isinstance(name, str) and (name.startswith("Nt") or name.startswith("Zw"))
+
+
+def _sibling_spelling(name: str) -> Optional[str]:
+    """The other spelling of an Nt/Zw name (NtFoo <-> ZwFoo), else None."""
+    if name.startswith("Zw"):
+        return "Nt" + name[2:]
+    if name.startswith("Nt"):
+        return "Zw" + name[2:]
+    return None
+
+
+class NativeExportIndex:
+    """The named, non-forwarded Nt/Zw exports of one image, from one walk.
+
+    `named` keeps (name, rva) in name-table order, duplicates included;
+    `canonical_by_rva` keys each address by its Zw-preferred spelling.
+    Use `PeImage.native_exports` rather than building one directly.
+    """
+
+    def __init__(self, image: PeImage) -> None:
+        self.named: list[tuple[str, int]] = [
+            (entry.name, entry.rva)
+            for entry in enumerate_exports(image)
+            if _is_native_name(entry.name) and entry.forwarded_to is None
+        ]
+        self.name_to_rva: dict[str, int] = dict(self.named)
+        names_by_rva: dict[int, list[str]] = {}
+        for name, rva in self.named:
+            names_by_rva.setdefault(rva, []).append(name)
+        self.canonical_by_rva: dict[int, str] = {}
+        for rva, names in names_by_rva.items():
+            zw = sorted(n for n in names if n.startswith("Zw"))
+            self.canonical_by_rva[rva] = zw[0] if zw else sorted(names)[0]
+
+    def resolve(self, name: str) -> Optional[int]:
+        """RVA of `name`, or of its sibling spelling when only that is exported."""
+        rva = self.name_to_rva.get(name)
+        if rva is None:
+            sibling = _sibling_spelling(name)
+            if sibling is not None:
+                rva = self.name_to_rva.get(sibling)
+        return rva
 
 
 def enumerate_imports(image: PeImage) -> list[ImportModule]:

@@ -24,6 +24,7 @@ Inline fixtures make a spec fully self-contained:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 from pathlib import Path
@@ -40,7 +41,7 @@ from .fixtures import (
     build_synthetic_module,
     build_synthetic_ntdll,
 )
-from .image import Layout, PeImage, enumerate_exports, parse_image
+from .image import Layout, PeImage, _sibling_spelling, enumerate_exports, parse_image
 from .simulate import ProcessModel, normalize_module_name
 from .table import RewriteConfig
 
@@ -98,20 +99,13 @@ def default_seed() -> int:
         raise SpecInvalid(f"{SEED_ENV_VAR}={raw!r} is not an integer")
 
 
-def _sibling_spelling(name: str) -> str | None:
-    if name.startswith("Zw"):
-        return "Nt" + name[2:]
-    if name.startswith("Nt"):
-        return "Zw" + name[2:]
-    return None
-
-
 def load_process_spec(path: Union[str, Path], seed: int | None = None) -> ProcessModel:
     """Materialize a process model from a spec file.
 
     Module images come from raw dump files (path form) or are generated on
     the spot (inline_fixture form); imports of generated modules are resolved
-    against the spec's ntdll exports.
+    against the spec's ntdll exports, which are read only when such a module
+    is present.
     """
     path = Path(path)
     try:
@@ -169,10 +163,13 @@ def load_process_spec(path: Union[str, Path], seed: int | None = None) -> Proces
 
     ntdll_image = materialize(ntdll_doc)
 
-    exports: dict[str, int] = {}
-    for entry in enumerate_exports(ntdll_image):
-        if entry.name is not None and entry.forwarded_to is None:
-            exports[entry.name] = ntdll_image.image_base + entry.rva
+    @functools.cache
+    def exports() -> dict[str, int]:
+        return {
+            entry.name: ntdll_image.image_base + entry.rva
+            for entry in enumerate_exports(ntdll_image)
+            if entry.name is not None and entry.forwarded_to is None
+        }
 
     def resolve(dll: str, fn: Union[str, int]) -> int:
         if normalize_module_name(dll) != normalize_module_name(ntdll_name):
@@ -180,11 +177,11 @@ def load_process_spec(path: Union[str, Path], seed: int | None = None) -> Proces
                 f"only imports from {ntdll_name!r} can be resolved, got {dll!r}"
             )
         if isinstance(fn, str):
-            va = exports.get(fn)
+            va = exports().get(fn)
             if va is None:
                 sibling = _sibling_spelling(fn)
                 if sibling is not None:
-                    va = exports.get(sibling)
+                    va = exports().get(sibling)
             if va is not None:
                 return va
         raise UnresolvedImport(f"{ntdll_name} does not export {fn!r}")

@@ -22,11 +22,10 @@ from .errors import (
     TargetNotLoaded,
     UnknownImport,
 )
-from .image import IatSlot, PeImage, enumerate_imports, rva_to_offset
+from .image import IatSlot, PeImage, _is_native_name, enumerate_imports, rva_to_offset
 from .ssn import SsnSearchParams
 from .table import (
     LIST_ENTRY_SIZE,
-    NativeExportIndex,
     RewriteConfig,
     SyscallList,
     make_entry,
@@ -155,10 +154,6 @@ class ResolvedCall:
     verdict: ChainVerdict
 
 
-def _is_native_name(name: object) -> bool:
-    return isinstance(name, str) and (name.startswith("Nt") or name.startswith("Zw"))
-
-
 def _native_ntdll_slots(module: ModuleEntry, ntdll_name: str) -> Iterator[IatSlot]:
     """The module's Nt/Zw slots imported from ntdll, in import-table order."""
     wanted = normalize_module_name(ntdll_name)
@@ -186,7 +181,7 @@ def plan_rewrite(
     """
     ntdll = process.ntdll()
     params = params or SsnSearchParams()
-    index = NativeExportIndex(ntdll.image)
+    index = ntdll.image.native_exports
     config = process.config
 
     entries = list(table.entries)
@@ -327,18 +322,25 @@ def resolve_call(
 ) -> CallTrace:
     """Trace one call through the first caller slot importing `imported_fn`.
 
-    The slot is looked up by name across all of the caller's import
-    descriptors, then traced as `_trace_slot` describes. To trace every
+    An Nt/Zw name is looked up among the slots imported from ntdll first, as
+    `resolve_imports` walks them; otherwise, and for any other name, the
+    first slot with that name across all of the caller's import descriptors
+    is used. The slot is traced as `_trace_slot` describes. To trace every
     Nt/Zw import of a module, use `resolve_imports`, which walks the imports
     and serializes the table once.
     """
     caller = process.find(caller_module)
     if caller is None:
         raise UnknownImport(f"module {caller_module!r} is not loaded")
+    wanted = normalize_module_name(process.ntdll().name) if _is_native_name(imported_fn) else None
+    descriptors = sorted(
+        enumerate_imports(caller.image),
+        key=lambda imported: normalize_module_name(imported.dll_name) != wanted,
+    )
     slot = next(
         (
             candidate
-            for imported in enumerate_imports(caller.image)
+            for imported in descriptors
             for candidate in imported.slots
             if candidate.imported_name == imported_fn
         ),

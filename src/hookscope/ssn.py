@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NoCleanNeighbor, NoZwExports, OutOfRange, SsnOutOfRange, WrongLayout
-from .image import Layout, PeImage, enumerate_exports
+from .image import Layout, PeImage
 
 # mov r10, rcx ; mov eax, imm -- with the immediate's high word zero
 CLEAN_PROLOGUE_HEAD = b"\x4c\x8b\xd1\xb8"
@@ -122,13 +122,7 @@ def find_syscall_instruction(
 
 def derive_ssn_by_sort(ntdll: PeImage) -> dict[str, int]:
     """Assign service numbers by position of the Zw exports sorted by address."""
-    zw = [
-        (entry.rva, entry.name)
-        for entry in enumerate_exports(ntdll)
-        if entry.name is not None
-        and entry.name.startswith("Zw")
-        and entry.forwarded_to is None
-    ]
+    zw = [(rva, name) for name, rva in ntdll.native_exports.named if name.startswith("Zw")]
     if not zw:
         raise NoZwExports("image exports no Zw-prefixed functions")
     zw.sort()

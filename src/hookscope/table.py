@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import (
     MalformedBlob,
@@ -22,7 +22,7 @@ from .errors import (
     TableFull,
     WrongLayout,
 )
-from .image import Layout, PeImage, enumerate_exports
+from .image import Layout, PeImage
 from .ssn import (
     SsnSearchParams,
     derive_ssn_neighbors,
@@ -90,43 +90,6 @@ class RewriteConfig:
             raise ValueError(f"stub entry size is fixed at {STUB_ENTRY_SIZE:#x}")
 
 
-def _is_native_name(name: Optional[str]) -> bool:
-    return name is not None and (name.startswith("Nt") or name.startswith("Zw"))
-
-
-def _sibling_spelling(name: str) -> Optional[str]:
-    if name.startswith("Zw"):
-        return "Nt" + name[2:]
-    if name.startswith("Nt"):
-        return "Zw" + name[2:]
-    return None
-
-
-class NativeExportIndex:
-    """Nt/Zw exports grouped by address, keyed by the Zw-preferred spelling."""
-
-    def __init__(self, ntdll: PeImage) -> None:
-        self.name_to_rva: dict[str, int] = {}
-        names_by_rva: dict[int, list[str]] = {}
-        for entry in enumerate_exports(ntdll):
-            if not _is_native_name(entry.name) or entry.forwarded_to is not None:
-                continue
-            self.name_to_rva[entry.name] = entry.rva
-            names_by_rva.setdefault(entry.rva, []).append(entry.name)
-        self.canonical_by_rva: dict[int, str] = {}
-        for rva, names in names_by_rva.items():
-            zw = sorted(n for n in names if n.startswith("Zw"))
-            self.canonical_by_rva[rva] = zw[0] if zw else sorted(names)[0]
-
-    def resolve(self, name: str) -> Optional[int]:
-        rva = self.name_to_rva.get(name)
-        if rva is None:
-            sibling = _sibling_spelling(name)
-            if sibling is not None:
-                rva = self.name_to_rva.get(sibling)
-        return rva
-
-
 def make_entry(
     ntdll: PeImage,
     rva: int,
@@ -164,7 +127,7 @@ def build_syscall_list(
     """
     if ntdll.layout is not Layout.LOADED:
         raise WrongLayout("table construction requires a loaded-layout image")
-    index = NativeExportIndex(ntdll)
+    index = ntdll.native_exports
 
     included: dict[int, str] = {}
 
@@ -252,7 +215,7 @@ def debug_dump(table: SyscallList, ntdll: PeImage) -> list[dict]:
     Names are recovered from the image's exports by address since records do
     not store them.
     """
-    index = NativeExportIndex(ntdll)
+    index = ntdll.native_exports
     rows = []
     for i, e in enumerate(table.entries):
         rva = e.address - ntdll.image_base

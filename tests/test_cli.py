@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ from click.testing import CliRunner
 from hookscope.cli import main
 from hookscope.errors import SpecInvalid, UnresolvedImport
 import hookscope.cli
-from hookscope import BASE_FUNCTIONS
+import hookscope.image
+from hookscope import BASE_FUNCTIONS, PeImage, ProcessModel
 import hookscope.simulate
 from hookscope.fixtures import GarbageHook, NtdllSpec, build_synthetic_ntdll
 from hookscope.procspec import load_process_spec
@@ -74,6 +76,91 @@ def write_spec(tmp_path: Path, doc) -> Path:
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def export_walks(monkeypatch):
+    """Records each export-directory walk, wherever hookscope calls it from."""
+    walks = []
+    real = hookscope.image.enumerate_exports
+
+    def spy(image):
+        walks.append(image)
+        return real(image)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hookscope") and getattr(module, "enumerate_exports", None) is real:
+            monkeypatch.setattr(module, "enumerate_exports", spy)
+    return walks
+
+
+def test_version_from_source_checkout(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert "0.1.0" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [(["scan"], 1), (["simulate", "--target", "absent"], 2)],
+)
+def test_exit_holds_no_process(runner, tmp_path, args, exit_code):
+    # CliRunner keeps the exit exception, and through its context the
+    # tracebacks of click's Exit and of a typed error; no frame there may
+    # keep the parsed process or its images alive.
+    path = write_spec(tmp_path, scenario_spec_doc())
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert result.exit_code == exit_code, result.output
+    held, frames = [], 0
+    exc = result.exc_info[1]
+    while exc is not None:
+        tb = exc.__traceback__
+        while tb is not None:
+            frame, frames = tb.tb_frame, frames + 1
+            held += [
+                f"{frame.f_code.co_name}:{name}"
+                for name, value in frame.f_locals.items()
+                if isinstance(value, (ProcessModel, PeImage))
+            ]
+            tb = tb.tb_next
+        exc = exc.__context__
+    assert frames > 0
+    assert held == []
+
+
+class TestOneExportWalkPerCommand:
+    """Each command walks the ntdll export directory at most once."""
+
+    @pytest.fixture
+    def dumps(self, tmp_path, scenario_process):
+        modules = []
+        for entry in scenario_process.modules:
+            dump = tmp_path / f"{entry.name}.dump"
+            dump.write_bytes(entry.image.data)
+            modules.append({"name": entry.name, "base": hex(entry.base), "path": str(dump)})
+        config = scenario_process.config
+        doc = {
+            "modules": modules,
+            "ntdll": "ntdll",
+            "config": {"stub_base": hex(config.stub_base), "table_va": hex(config.table_va)},
+        }
+        return write_spec(tmp_path, doc), tmp_path / "ntdll.dump"
+
+    @pytest.mark.parametrize(
+        "command, exit_code",
+        [
+            (["scan", "{spec}"], 1),
+            (["table", "{ntdll}", "--base", "{base}", "--out", "{tmp}/t.bin"], 0),
+            (["ssn", "{ntdll}", "--method", "halos", "--base", "{base}"], 0),
+            (["simulate", "{spec}", "--force", "kernelbase"], 0),
+        ],
+    )
+    def test_one_walk(self, runner, tmp_path, dumps, export_walks, command, exit_code):
+        spec, ntdll = dumps
+        fields = {"spec": spec, "ntdll": ntdll, "base": f"{NTDLL_BASE:x}", "tmp": tmp_path}
+        result = runner.invoke(main, [arg.format(**fields) for arg in command])
+        assert result.exit_code == exit_code, result.output
+        assert len(export_walks) == 1
 
 
 class TestProcessSpecLoading:
@@ -250,6 +337,19 @@ class TestTableCommand:
         doc = json.loads(out.with_suffix(".json").read_text())
         assert doc["count"] == 12
         assert [(e["name"], e["ssn"]) for e in doc["entries"]] == EXPECTED_TABLE
+
+    @pytest.mark.parametrize("option", ["--out", "--json-out"])
+    def test_unwritable_output_exit_two(self, runner, tmp_path, scenario_ntdll, option):
+        dump = tmp_path / "ntdll.dump"
+        dump.write_bytes(scenario_ntdll.data)
+        missing = tmp_path / "missing" / "t.bin"
+        out = missing if option == "--out" else tmp_path / "t.bin"
+        args = ["table", str(dump), "--base", f"{NTDLL_BASE:x}", "--out", str(out)]
+        if option == "--json-out":
+            args += ["--json-out", str(missing.with_suffix(".json"))]
+        result = runner.invoke(main, args)
+        assert_typed_exit(result)
+        assert "missing" in result.output
 
     def test_clean_image_six_entries(self, runner, tmp_path):
         named = {

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +23,7 @@ from hookscope.errors import (
     UnmappedRva,
 )
 from hookscope.fixtures import ModuleSpec, NtdllSpec, build_synthetic_module, build_synthetic_ntdll
+import hookscope.image
 from hookscope.image import offset_to_rva
 
 from conftest import build_header_only_pe, positioned_functions
@@ -159,6 +162,56 @@ class TestEnumerateExports:
         )
         names = [e.name for e in enumerate_exports(image) if e.name]
         assert names == sorted(names)
+
+
+class TestNativeExportIndex:
+    @staticmethod
+    def _ntdll():
+        return build_synthetic_ntdll(
+            NtdllSpec(
+                functions=positioned_functions(4, {1: "NtOpenFile"}),
+                forwarders=(("ZwForwarded", "other.ZwElsewhere"),),
+                alias_both_prefixes=True,
+            )
+        )
+
+    def test_built_once_per_image(self, monkeypatch):
+        image = self._ntdll()
+        walks = []
+        real = hookscope.image.enumerate_exports
+        monkeypatch.setattr(
+            hookscope.image, "enumerate_exports", lambda img: walks.append(img) or real(img)
+        )
+        index = image.native_exports
+        assert image.native_exports is index
+        assert walks == [image]
+
+    def test_named_keeps_name_table_order_and_aliases(self):
+        image = self._ntdll()
+        index = image.native_exports
+        assert index.named == [
+            (e.name, e.rva)
+            for e in enumerate_exports(image)
+            if e.name and e.name[:2] in ("Nt", "Zw") and e.forwarded_to is None
+        ]
+        assert len(index.named) == 8  # four stubs, each under both spellings
+        rva = index.resolve("NtOpenFile")
+        assert rva == index.resolve("ZwOpenFile") == index.name_to_rva["NtOpenFile"]
+        assert index.canonical_by_rva[rva] == "ZwOpenFile"
+        assert "ZwForwarded" not in index.name_to_rva
+        assert index.resolve("ZwAbsent") is None
+
+    def test_replaced_image_gets_a_fresh_index(self):
+        image = self._ntdll()
+        before = image.native_exports
+        assert image.data.count(b"ZwFiller0002\x00") == 1
+        data = image.data.replace(b"ZwFiller0002\x00", b"ZwRenamed002\x00")
+        renamed = dataclasses.replace(image, data=data)
+        assert renamed.native_exports is not before
+        assert "ZwRenamed002" in renamed.native_exports.name_to_rva
+        assert "ZwFiller0002" not in renamed.native_exports.name_to_rva
+        assert image.native_exports is before
+        assert "ZwFiller0002" in before.name_to_rva
 
 
 class TestEnumerateImports:

@@ -79,7 +79,7 @@ class TestPlanRewrite:
     def test_single_entry_table_routes_to_base(self):
         process, _ = scenario_with_table()
         ntdll = process.ntdll()
-        from hookscope.table import NativeExportIndex
+        from hookscope.image import NativeExportIndex
 
         index = NativeExportIndex(ntdll.image)
         rva = index.resolve("ZwWriteVirtualMemory")
@@ -234,7 +234,37 @@ class TestApplyRewrite:
             apply_rewrite(process, RewritePlan(edits=(edit,), table=table))
 
 
+def rewritten_kernel32_first(ntdll):
+    """A caller importing NtOpenProcess from kernel32.dll ahead of ntdll.dll,
+    after the rewrite of its ntdll slot, plus the table it dispatches through."""
+    module = build_synthetic_module(
+        ModuleSpec(
+            name="caller",
+            imports=(("kernel32.dll", "NtOpenProcess"), ("ntdll.dll", "NtOpenProcess")),
+        ),
+        {
+            ("kernel32.dll", "NtOpenProcess"): 0x00007FFEA0001000,
+            ("ntdll.dll", "NtOpenProcess"): ntdll.image_base + 0x9CFC0 + 38 * 32,
+        },
+        image_base=KERNELBASE_BASE,
+    )
+    process = build_process_model(
+        ntdll, [("caller", module)], [KERNELBASE_BASE], RewriteConfig(stub_base=STUB_BASE)
+    )
+    table = assign_stub_slots(build_syscall_list(ntdll, PARAMS), process.config)
+    plan = plan_rewrite(process, table, [("caller", False)])
+    return apply_rewrite(process, plan), plan.table
+
+
 class TestResolveCall:
+    def test_native_name_traces_the_ntdll_slot(self, scenario_ntdll):
+        rewritten, table = rewritten_kernel32_first(scenario_ntdll)
+        trace = resolve_call(rewritten, "caller", "NtOpenProcess", table)
+        [call] = resolve_imports(rewritten, ["caller"], table)
+        assert trace == call.trace
+        assert isinstance(trace.steps[-1], SyscallSite)
+        assert verify_chain(trace, rewritten).passed
+
     def test_pre_rewrite_direct(self):
         process, table = scenario_with_table()
         trace = resolve_call(process, "kernelbase", "NtCreateUserProcess", table)
@@ -344,29 +374,8 @@ class TestResolveImports:
         assert ends == ({SyscallSite} if rewrite else {DirectNtdll, ForeignTarget})
 
     def test_each_import_traces_its_own_slot(self, scenario_ntdll):
-        # kernel32's descriptor imports the same name ahead of ntdll's
-        foreign = 0x00007FFEA0001000
-        module = build_synthetic_module(
-            ModuleSpec(
-                name="caller",
-                imports=(("kernel32.dll", "NtOpenProcess"), ("ntdll.dll", "NtOpenProcess")),
-            ),
-            {
-                ("kernel32.dll", "NtOpenProcess"): foreign,
-                ("ntdll.dll", "NtOpenProcess"): scenario_ntdll.image_base + 0x9CFC0 + 38 * 32,
-            },
-            image_base=KERNELBASE_BASE,
-        )
-        process = build_process_model(
-            scenario_ntdll,
-            [("caller", module)],
-            [KERNELBASE_BASE],
-            RewriteConfig(stub_base=STUB_BASE),
-        )
-        table = assign_stub_slots(build_syscall_list(scenario_ntdll, PARAMS), process.config)
-        plan = plan_rewrite(process, table, [("caller", False)])
-        rewritten = apply_rewrite(process, plan)
-        [call] = resolve_imports(rewritten, ["caller"], plan.table)
+        rewritten, table = rewritten_kernel32_first(scenario_ntdll)
+        [call] = resolve_imports(rewritten, ["caller"], table)
         assert call.function == "NtOpenProcess"
         assert trace_to_json(call.trace)[-1]["step"] == "syscall_site"
         assert call.trace.steps[3].ssn == 38
