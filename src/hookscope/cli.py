@@ -198,7 +198,7 @@ def ssn(
 
     if fmt == "json":
         doc = {"method": method, "ssns": mapping, "derived": derived}
-        return json.dumps(doc, indent=2) + "\n", EXIT_CLEAN
+        return json.dumps(doc) + "\n", EXIT_CLEAN
     lines = []
     for name in sorted(mapping):
         suffix = " (derived)" if name in derived else ""
@@ -240,7 +240,7 @@ def table(
         "entries": rows,
         "base_indices": list(built.base_indices),
     }
-    json_text = json.dumps(dump, indent=2) + "\n"
+    json_text = json.dumps(dump) + "\n"
     json_path = Path(json_out) if json_out else Path(out).with_suffix(".json")
     json_path.write_text(json_text)
     if fmt == "json":
@@ -306,7 +306,7 @@ def simulate(
             ],
             "all_passed": all_passed,
         }
-        return json.dumps(doc, indent=2) + "\n", code
+        return json.dumps(doc) + "\n", code
     lines = []
     for call in results:
         parts = [f"{call.module}!{call.function}"]

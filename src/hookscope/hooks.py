@@ -194,7 +194,7 @@ def render_report(report: ScanReport, format: ReportFormat) -> bytes:
             },
             "mapped": report.mapped_function_count,
         }
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        return (json.dumps(doc) + "\n").encode()
 
     lines = ["[+] Listing ntdll Nt/Zw functions", "-----"]
     for f in report.ntdll_findings:

@@ -13,7 +13,7 @@ import logging
 import struct
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
     BadMagic,
@@ -335,11 +335,37 @@ def _read_cstring(image: PeImage, rva: int, max_len: int = _MAX_NAME_LEN) -> Opt
     return image.data[off:nul].decode("latin-1")
 
 
+def _read_cstrings(image: PeImage, rvas: Iterable[int]) -> list[Optional[str]]:
+    """`[_read_cstring(image, rva) for rva in rvas]`, in one loop.
+
+    A loaded image maps an RVA below its extent to itself, so that layout
+    skips `rva_to_offset`. Each name is searched for on its own, so the work
+    stays within 512 bytes per RVA however far apart the names lie.
+    """
+    data = image.data
+    find = data.find
+    extent = image.extent
+    loaded = image.layout is Layout.LOADED
+    names: list[Optional[str]] = []
+    for rva in rvas:
+        if loaded:
+            off = rva if 0 <= rva < extent else -1
+        else:
+            try:
+                off = rva_to_offset(image, rva)
+            except UnmappedRva:
+                off = -1
+        nul = find(b"\x00", off, off + _MAX_NAME_LEN) if off >= 0 else -1
+        names.append(data[off:nul].decode("latin-1") if nul >= 0 else None)
+    return names
+
+
 def enumerate_exports(image: PeImage) -> list[ExportEntry]:
     """Resolve the export directory into entries, flagging forwarders.
 
     Named entries come first in stored name-table order, then ordinal-only
-    function slots. Entries with unreadable names are skipped with a warning.
+    function slots. Named entries that cannot be resolved are skipped; each
+    kind of skip is logged once per walk, with its count and first instance.
     """
     directory = image.directories.get(DataDirectory.EXPORT_TABLE)
     if directory is None or directory[1] == 0:
@@ -378,20 +404,28 @@ def enumerate_exports(image: PeImage) -> list[ExportEntry]:
 
     entries: list[ExportEntry] = []
     named_slots: set[int] = set()
-    for j, (name_rva, ord_idx) in enumerate(zip(name_rvas, ordinals)):
-        name = _read_cstring(image, name_rva)
+    # Skip reason -> [count, first name index, its name rva], logged once each.
+    skipped: dict[str, list[int]] = {}
+    for j, (name, ord_idx) in enumerate(zip(_read_cstrings(image, name_rvas), ordinals)):
         if name is None:
-            log.warning("export name %d has unreadable name rva %#x; skipped", j, name_rva)
+            reason = "have an unreadable name rva"
+        elif ord_idx >= num_funcs:
+            reason = "have an ordinal index out of range"
+        elif functions[ord_idx] == 0:
+            reason = "map to an empty function slot"
+        else:
+            rva = functions[ord_idx]
+            named_slots.add(ord_idx)
+            entries.append(ExportEntry(name, ordinal_base + ord_idx, rva, _forward(rva)))
             continue
-        if ord_idx >= num_funcs:
-            log.warning("export %r ordinal index %d out of range; skipped", name, ord_idx)
-            continue
-        rva = functions[ord_idx]
-        if rva == 0:
-            log.warning("export %r maps to an empty function slot; skipped", name)
-            continue
-        named_slots.add(ord_idx)
-        entries.append(ExportEntry(name, ordinal_base + ord_idx, rva, _forward(rva)))
+        if reason in skipped:
+            skipped[reason][0] += 1
+        else:
+            skipped[reason] = [1, j, name_rvas[j]]
+    for reason, (count, j, name_rva) in skipped.items():
+        log.warning(
+            "%d export names %s; skipped (first: name %d at rva %#x)", count, reason, j, name_rva
+        )
 
     for i, rva in enumerate(functions):
         if rva == 0 or i in named_slots:
@@ -428,13 +462,12 @@ class NativeExportIndex:
             if _is_native_name(entry.name) and entry.forwarded_to is None
         ]
         self.name_to_rva: dict[str, int] = dict(self.named)
-        names_by_rva: dict[int, list[str]] = {}
-        for name, rva in self.named:
-            names_by_rva.setdefault(rva, []).append(name)
+        # Per address, the least name under (not Zw, name): Zw first, then by name.
         self.canonical_by_rva: dict[int, str] = {}
-        for rva, names in names_by_rva.items():
-            zw = sorted(n for n in names if n.startswith("Zw"))
-            self.canonical_by_rva[rva] = zw[0] if zw else sorted(names)[0]
+        for name, rva in self.named:
+            held = self.canonical_by_rva.get(rva)
+            if held is None or (name[:2] != "Zw", name) < (held[:2] != "Zw", held):
+                self.canonical_by_rva[rva] = name
 
     def resolve(self, name: str) -> Optional[int]:
         """RVA of `name`, or of its sibling spelling when only that is exported."""

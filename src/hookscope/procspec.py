@@ -41,7 +41,7 @@ from .fixtures import (
     build_synthetic_module,
     build_synthetic_ntdll,
 )
-from .image import Layout, PeImage, _sibling_spelling, enumerate_exports, parse_image
+from .image import Layout, PeImage, _is_native_name, enumerate_exports, parse_image
 from .simulate import ProcessModel, normalize_module_name
 from .table import RewriteConfig
 
@@ -166,7 +166,7 @@ def load_process_spec(path: Union[str, Path], seed: int | None = None) -> Proces
     @functools.cache
     def exports() -> dict[str, int]:
         return {
-            entry.name: ntdll_image.image_base + entry.rva
+            entry.name: entry.rva
             for entry in enumerate_exports(ntdll_image)
             if entry.name is not None and entry.forwarded_to is None
         }
@@ -177,13 +177,14 @@ def load_process_spec(path: Union[str, Path], seed: int | None = None) -> Proces
                 f"only imports from {ntdll_name!r} can be resolved, got {dll!r}"
             )
         if isinstance(fn, str):
-            va = exports().get(fn)
-            if va is None:
-                sibling = _sibling_spelling(fn)
-                if sibling is not None:
-                    va = exports().get(sibling)
-            if va is not None:
-                return va
+            # Nt/Zw names go through the image's own index, which scan and
+            # simulate reuse; only other names need the full export walk.
+            if _is_native_name(fn):
+                rva = ntdll_image.native_exports.resolve(fn)
+            else:
+                rva = exports().get(fn)
+            if rva is not None:
+                return ntdll_image.image_base + rva
         raise UnresolvedImport(f"{ntdll_name} does not export {fn!r}")
 
     modules: list[tuple[str, PeImage]] = []

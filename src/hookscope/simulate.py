@@ -9,6 +9,7 @@ instruction is ever executed and no live process is touched.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -62,12 +63,16 @@ class ProcessModel:
             raise MissingNtdll("process model carries no ntdll image")
         return self.modules[self.ntdll_index]
 
-    def find(self, name: str) -> Optional[ModuleEntry]:
-        wanted = normalize_module_name(name)
+    @functools.cached_property
+    def _by_name(self) -> dict[str, ModuleEntry]:
+        """Normalized name -> first entry with it; `dataclasses.replace` starts afresh."""
+        by_name: dict[str, ModuleEntry] = {}
         for entry in self.modules:
-            if normalize_module_name(entry.name) == wanted:
-                return entry
-        return None
+            by_name.setdefault(normalize_module_name(entry.name), entry)
+        return by_name
+
+    def find(self, name: str) -> Optional[ModuleEntry]:
+        return self._by_name.get(normalize_module_name(name))
 
 
 @dataclass(frozen=True)

@@ -128,23 +128,34 @@ def test_exit_holds_no_process(runner, tmp_path, args, exit_code):
     assert held == []
 
 
+@pytest.fixture
+def scenario_files(tmp_path, scenario_process):
+    """Argument fields for the scenario: a path-form spec (`spec`) over dumps of
+    its modules, the ntdll dump, and the inline-fixture spec (`inline`)."""
+    modules = []
+    for entry in scenario_process.modules:
+        dump = tmp_path / f"{entry.name}.dump"
+        dump.write_bytes(entry.image.data)
+        modules.append({"name": entry.name, "base": hex(entry.base), "path": str(dump)})
+    config = scenario_process.config
+    doc = {
+        "modules": modules,
+        "ntdll": "ntdll",
+        "config": {"stub_base": hex(config.stub_base), "table_va": hex(config.table_va)},
+    }
+    inline_dir = tmp_path / "inline"
+    inline_dir.mkdir()
+    return {
+        "spec": write_spec(tmp_path, doc),
+        "inline": write_spec(inline_dir, scenario_spec_doc()),
+        "ntdll": tmp_path / "ntdll.dump",
+        "base": f"{NTDLL_BASE:x}",
+        "tmp": tmp_path,
+    }
+
+
 class TestOneExportWalkPerCommand:
     """Each command walks the ntdll export directory at most once."""
-
-    @pytest.fixture
-    def dumps(self, tmp_path, scenario_process):
-        modules = []
-        for entry in scenario_process.modules:
-            dump = tmp_path / f"{entry.name}.dump"
-            dump.write_bytes(entry.image.data)
-            modules.append({"name": entry.name, "base": hex(entry.base), "path": str(dump)})
-        config = scenario_process.config
-        doc = {
-            "modules": modules,
-            "ntdll": "ntdll",
-            "config": {"stub_base": hex(config.stub_base), "table_va": hex(config.table_va)},
-        }
-        return write_spec(tmp_path, doc), tmp_path / "ntdll.dump"
 
     @pytest.mark.parametrize(
         "command, exit_code",
@@ -153,14 +164,41 @@ class TestOneExportWalkPerCommand:
             (["table", "{ntdll}", "--base", "{base}", "--out", "{tmp}/t.bin"], 0),
             (["ssn", "{ntdll}", "--method", "halos", "--base", "{base}"], 0),
             (["simulate", "{spec}", "--force", "kernelbase"], 0),
+            (["scan", "{inline}"], 1),
         ],
     )
-    def test_one_walk(self, runner, tmp_path, dumps, export_walks, command, exit_code):
-        spec, ntdll = dumps
-        fields = {"spec": spec, "ntdll": ntdll, "base": f"{NTDLL_BASE:x}", "tmp": tmp_path}
-        result = runner.invoke(main, [arg.format(**fields) for arg in command])
+    def test_one_walk(self, runner, scenario_files, export_walks, command, exit_code):
+        result = runner.invoke(main, [arg.format(**scenario_files) for arg in command])
         assert result.exit_code == exit_code, result.output
         assert len(export_walks) == 1
+
+
+class TestCompactJson:
+    """`--format json` and the table dump go through the C encoder."""
+
+    @pytest.mark.parametrize(
+        "command, exit_code",
+        [
+            (["scan", "{spec}"], 1),
+            (["ssn", "{ntdll}", "--method", "halos", "--base", "{base}"], 0),
+            (["ssn", "{ntdll}", "--method", "sort", "--base", "{base}"], 0),
+            (["table", "{ntdll}", "--base", "{base}", "--out", "{tmp}/t.bin"], 0),
+            (["simulate", "{spec}", "--force", "kernelbase"], 0),
+        ],
+    )
+    def test_no_pure_python_encoding(
+        self, runner, monkeypatch, scenario_files, command, exit_code
+    ):
+        def slow_encoder(*args, **kwargs):
+            raise AssertionError("JSON went through the pure-Python encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", slow_encoder)
+        args = [arg.format(**scenario_files) for arg in command] + ["--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == exit_code, result.output
+        assert result.stdout == json.dumps(json.loads(result.stdout)) + "\n"
+        if command[0] == "table":
+            assert (scenario_files["tmp"] / "t.json").read_text() == result.stdout
 
 
 class TestProcessSpecLoading:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
+import struct
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +28,13 @@ from hookscope.errors import (
 )
 from hookscope.fixtures import ModuleSpec, NtdllSpec, build_synthetic_module, build_synthetic_ntdll
 import hookscope.image
-from hookscope.image import offset_to_rva
+from hookscope.image import (
+    ExportEntry,
+    NativeExportIndex,
+    _read_cstring,
+    _read_cstrings,
+    offset_to_rva,
+)
 
 from conftest import build_header_only_pe, positioned_functions
 
@@ -163,6 +173,120 @@ class TestEnumerateExports:
         names = [e.name for e in enumerate_exports(image) if e.name]
         assert names == sorted(names)
 
+    @staticmethod
+    def _with_name_rvas(image, rvas):
+        """A copy of `image` whose first name-table entries point at `rvas`."""
+        dir_rva, _ = image.directories[DataDirectory.EXPORT_TABLE]
+        aon = struct.unpack_from("<I", image.data, dir_rva + 32)[0]
+        data = bytearray(image.data)
+        for j, rva in enumerate(rvas):
+            struct.pack_into("<I", data, aon + 4 * j, rva)
+        return data
+
+    def test_unreadable_names_log_one_summary(self, caplog):
+        image = build_synthetic_ntdll(NtdllSpec(functions=positioned_functions(6)))
+        data = self._with_name_rvas(image, [0xFFFFFF00 + j for j in range(3)])
+        broken = parse_image(bytes(data), Layout.LOADED, image.image_base)
+        with caplog.at_level(logging.WARNING, logger="hookscope.image"):
+            entries = enumerate_exports(broken)
+        assert len([e for e in entries if e.name]) == 3
+        [record] = caplog.records
+        assert record.args[:3] == (3, "have an unreadable name rva", 0)
+        assert "3 export names" in record.getMessage()
+
+    def test_one_summary_per_skip_kind(self, caplog):
+        image = build_synthetic_ntdll(NtdllSpec(functions=positioned_functions(6)))
+        data = self._with_name_rvas(image, [0xFFFFFF00])
+        dir_rva, _ = image.directories[DataDirectory.EXPORT_TABLE]
+        aoo = struct.unpack_from("<I", data, dir_rva + 36)[0]
+        for j in (2, 4):
+            struct.pack_into("<H", data, aoo + 2 * j, 0xFFFF)
+        broken = parse_image(bytes(data), Layout.LOADED, image.image_base)
+        with caplog.at_level(logging.WARNING, logger="hookscope.image"):
+            enumerate_exports(broken)
+        assert [r.args[:3] for r in caplog.records] == [
+            (1, "have an unreadable name rva", 0),
+            (2, "have an ordinal index out of range", 2),
+        ]
+
+    def test_far_apart_names_build_no_per_byte_list(self):
+        image = build_synthetic_ntdll(NtdllSpec(functions=positioned_functions(2)))
+        far = len(image.data) + 0x100000
+        data = self._with_name_rvas(image, [far])
+        data += bytes(far - len(data)) + b"ZwFar\x00" + bytes(0x100)
+        spaced = parse_image(bytes(data), Layout.LOADED, image.image_base)
+        tracemalloc.start()
+        try:
+            entries = enumerate_exports(spaced)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(e.name for e in entries if e.name) == ["ZwFar", "ZwFiller0001"]
+        assert peak < len(data) // 16
+
+
+_NAME_LENGTHS = (0, 1, 7, 511, 512, 513)
+
+
+def _string_image(layout, fill, plants):
+    """An image filled with `fill`, with NUL-terminated names planted at
+    buffer offsets; `plants` are (offset, name length) pairs."""
+    if layout is Layout.LOADED:
+        data = bytearray(build_header_only_pe(total_size=0x2000))
+    else:
+        data = bytearray(
+            build_header_only_pe(
+                sections=[
+                    (".text", 0x1000, 0x900, 0x400, 0x600),  # uninitialized tail
+                    (".rdata", 0x2000, 0x800, 0xA00, 0x800),
+                    (".data", 0x4000, 0, 0x1200, 0x600),  # raw size only
+                ],
+                total_size=0x1800,
+            )
+        )
+    data[0x400:] = bytes([fill]) * (len(data) - 0x400)
+    for offset, length in plants:
+        name = b"N" * length + b"\x00"
+        data[offset : offset + len(name)] = name
+    # Plants may run past the end; keep the buffer's size and a tail with no NUL.
+    del data[0x2000 if layout is Layout.LOADED else 0x1800 :]
+    data[-3:] = b"xyz"
+    return parse_image(bytes(data), layout, 0x7FFE00000000)
+
+
+class TestReadCstrings:
+    """The batched name reader answers exactly as the per-RVA reference."""
+
+    @given(
+        layout=st.sampled_from([Layout.LOADED, Layout.FILE]),
+        fill=st.sampled_from([0x00, 0x41]),
+        plants=st.lists(
+            st.tuples(st.integers(0x400, 0x1FF0), st.sampled_from(_NAME_LENGTHS)), max_size=5
+        ),
+        data=st.data(),
+    )
+    def test_matches_per_rva_reference(self, layout, fill, plants, data):
+        image = _string_image(layout, fill, plants)
+        interesting = [0, image.extent - 1, image.extent, 0xFFFFFFFF]
+        interesting += [0x1000, 0x1600, 0x18FF, 0x2000, 0x27FF, 0x3000, 0x4000, 0x45FF, 0x4600]
+        for offset, length in plants:
+            for at in (offset, offset + length // 2, offset + length):
+                try:
+                    interesting.append(offset_to_rva(image, at))
+                except UnmappedRva:
+                    interesting.append(at)
+        rvas = data.draw(
+            st.lists(st.integers(0, 0x5000) | st.sampled_from(interesting), max_size=40)
+        )
+        assert _read_cstrings(image, rvas) == [_read_cstring(image, rva) for rva in rvas]
+
+    @pytest.mark.parametrize("layout", [Layout.LOADED, Layout.FILE])
+    def test_name_length_bound(self, layout):
+        plants = [(0x500, 511), (0x800, 512), (0xB00, 513)]
+        image = _string_image(layout, 0x41, plants)
+        rvas = [offset_to_rva(image, offset) for offset, _ in plants]
+        assert _read_cstrings(image, rvas) == ["N" * 511, None, None]
+
 
 class TestNativeExportIndex:
     @staticmethod
@@ -212,6 +336,35 @@ class TestNativeExportIndex:
         assert "ZwFiller0002" not in renamed.native_exports.name_to_rva
         assert image.native_exports is before
         assert "ZwFiller0002" in before.name_to_rva
+
+    @staticmethod
+    def _sorted_rule(named):
+        """The original rule: per address, the least Zw name, else the least name."""
+        names_by_rva: dict[int, list[str]] = {}
+        for name, rva in named:
+            names_by_rva.setdefault(rva, []).append(name)
+        canonical = {}
+        for rva, names in names_by_rva.items():
+            zw = sorted(n for n in names if n.startswith("Zw"))
+            canonical[rva] = zw[0] if zw else sorted(names)[0]
+        return canonical
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["Nt", "Zw"]),
+                st.sampled_from(["Close", "Open", "OpenFile", "OpenProcess", "Query"]),
+                st.integers(0x1000, 0x1004),
+            ),
+            max_size=24,
+        )
+    )
+    def test_canonical_matches_sorted_rule(self, aliases):
+        entries = [ExportEntry(p + stem, i, rva) for i, (p, stem, rva) in enumerate(aliases)]
+        with mock.patch.object(hookscope.image, "enumerate_exports", lambda image: entries):
+            index = NativeExportIndex(self._ntdll())
+        expected = self._sorted_rule(index.named)
+        assert list(index.canonical_by_rva.items()) == list(expected.items())
 
 
 class TestEnumerateImports:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import struct
 
@@ -34,6 +35,7 @@ from hookscope.fixtures import (
     build_process_model,
     build_synthetic_module,
 )
+import hookscope.simulate
 from hookscope.simulate import (
     CallerModule,
     CallTrace,
@@ -178,6 +180,34 @@ class TestPlanRewrite:
         )
         with pytest.raises(TableFull):
             plan_rewrite(model, full, [("preloaded", True)])
+
+
+class TestProcessModelFind:
+    def test_first_entry_wins_and_names_normalize_once(self, monkeypatch):
+        process = make_scenario_process()
+        ntdll, kernelbase = process.modules
+        shadow = dataclasses.replace(kernelbase, name="C:\\Windows\\KernelBase.dll")
+        model = dataclasses.replace(process, modules=(ntdll, kernelbase, shadow))
+        calls = []
+        real = hookscope.simulate.normalize_module_name
+        monkeypatch.setattr(
+            hookscope.simulate, "normalize_module_name", lambda n: calls.append(n) or real(n)
+        )
+        for _ in range(5):
+            assert model.find("KERNELBASE.DLL") is kernelbase
+            assert model.find("ntdll") is ntdll
+            assert model.find("kernel32") is None
+        assert len(calls) == 3 + 15
+
+    def test_replaced_model_gets_a_fresh_map(self):
+        process = make_scenario_process()
+        ntdll, kernelbase = process.modules
+        assert process.find("kernelbase") is kernelbase
+        renamed = dataclasses.replace(kernelbase, name="kernel32.dll")
+        replaced = dataclasses.replace(process, modules=(ntdll, renamed))
+        assert replaced.find("kernelbase") is None
+        assert replaced.find("Kernel32") is renamed
+        assert process.find("kernelbase") is kernelbase
 
 
 class TestApplyRewrite:
