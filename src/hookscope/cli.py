@@ -29,12 +29,7 @@ from .simulate import (
     resolve_imports,
     trace_to_json,
 )
-from .ssn import (
-    SsnSearchParams,
-    derive_ssn_by_sort,
-    derive_ssn_neighbors,
-    read_clean_ssn,
-)
+from .ssn import SsnSearchParams, resolve_ssns
 from .table import (
     assign_stub_slots,
     build_syscall_list,
@@ -178,30 +173,14 @@ def ssn(
 ) -> tuple[str, int]:
     """Resolve service numbers for the Nt/Zw exports of an ntdll-like image."""
     image = _load_image(ntdll, layout, base)
-    params = _params(stride, max_neighbours, scan_limit)
-    derived: list[str] = []
-    if method == "sort":
-        mapping = derive_ssn_by_sort(image)
-    else:
-        canonical = image.native_exports.canonical_by_rva
-        mapping = {}
-        for rva, name in sorted(canonical.items(), key=lambda kv: kv[1]):
-            prologue = image.data[rva : rva + 8]
-            direct = read_clean_ssn(prologue)
-            if method == "prologue":
-                if direct is not None:
-                    mapping[name] = direct
-                continue
-            mapping[name] = derive_ssn_neighbors(image, image.image_base + rva, params)
-            if direct is None:
-                derived.append(name)
-
+    mapping, derived = resolve_ssns(image, method, _params(stride, max_neighbours, scan_limit))
     if fmt == "json":
         doc = {"method": method, "ssns": mapping, "derived": derived}
         return json.dumps(doc) + "\n", EXIT_CLEAN
+    marked = set(derived)
     lines = []
     for name in sorted(mapping):
-        suffix = " (derived)" if name in derived else ""
+        suffix = " (derived)" if name in marked else ""
         lines.append(f"{name} {mapping[name]}{suffix}\n")
     return "".join(lines), EXIT_CLEAN
 

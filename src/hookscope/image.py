@@ -13,7 +13,7 @@ import logging
 import struct
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
     BadMagic,
@@ -79,8 +79,7 @@ class SectionView:
     raw_size: int
 
 
-@dataclass(frozen=True)
-class ExportEntry:
+class ExportEntry(NamedTuple):
     """One export-directory entry; name is None for ordinal-only exports."""
 
     name: Optional[str]
@@ -89,8 +88,7 @@ class ExportEntry:
     forwarded_to: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class IatSlot:
+class IatSlot(NamedTuple):
     """One import slot: the name (or ordinal) it resolves plus the bound value."""
 
     imported_name: Union[str, int]
@@ -397,13 +395,9 @@ def enumerate_exports(image: PeImage) -> list[ExportEntry]:
     ordinals = struct.unpack(f"<{num_names}H", ordinals_raw)
     dir_end = dir_rva + dir_size
 
-    def _forward(rva: int) -> Optional[str]:
-        if dir_rva <= rva < dir_end:
-            return _read_cstring(image, rva)
-        return None
-
     entries: list[ExportEntry] = []
-    named_slots: set[int] = set()
+    append = entries.append
+    named_slots = bytearray(num_funcs)
     # Skip reason -> [count, first name index, its name rva], logged once each.
     skipped: dict[str, list[int]] = {}
     for j, (name, ord_idx) in enumerate(zip(_read_cstrings(image, name_rvas), ordinals)):
@@ -411,13 +405,15 @@ def enumerate_exports(image: PeImage) -> list[ExportEntry]:
             reason = "have an unreadable name rva"
         elif ord_idx >= num_funcs:
             reason = "have an ordinal index out of range"
-        elif functions[ord_idx] == 0:
-            reason = "map to an empty function slot"
         else:
             rva = functions[ord_idx]
-            named_slots.add(ord_idx)
-            entries.append(ExportEntry(name, ordinal_base + ord_idx, rva, _forward(rva)))
-            continue
+            if rva == 0:
+                reason = "map to an empty function slot"
+            else:
+                named_slots[ord_idx] = 1
+                forwarded_to = _read_cstring(image, rva) if dir_rva <= rva < dir_end else None
+                append(ExportEntry(name, ordinal_base + ord_idx, rva, forwarded_to))
+                continue
         if reason in skipped:
             skipped[reason][0] += 1
         else:
@@ -427,15 +423,16 @@ def enumerate_exports(image: PeImage) -> list[ExportEntry]:
             "%d export names %s; skipped (first: name %d at rva %#x)", count, reason, j, name_rva
         )
 
-    for i, rva in enumerate(functions):
-        if rva == 0 or i in named_slots:
-            continue
-        entries.append(ExportEntry(None, ordinal_base + i, rva, _forward(rva)))
+    if named_slots.count(0):
+        for i, (rva, named) in enumerate(zip(functions, named_slots)):
+            if rva and not named:
+                forwarded_to = _read_cstring(image, rva) if dir_rva <= rva < dir_end else None
+                append(ExportEntry(None, ordinal_base + i, rva, forwarded_to))
     return entries
 
 
 def _is_native_name(name: object) -> bool:
-    return isinstance(name, str) and (name.startswith("Nt") or name.startswith("Zw"))
+    return isinstance(name, str) and name.startswith(("Nt", "Zw"))
 
 
 def _sibling_spelling(name: str) -> Optional[str]:
@@ -451,23 +448,28 @@ class NativeExportIndex:
     """The named, non-forwarded Nt/Zw exports of one image, from one walk.
 
     `named` keeps (name, rva) in name-table order, duplicates included;
-    `canonical_by_rva` keys each address by its Zw-preferred spelling.
-    Use `PeImage.native_exports` rather than building one directly.
+    `canonical_by_rva` keys each address by its Zw-preferred spelling and is
+    built on first use. Use `PeImage.native_exports` rather than building
+    one directly.
     """
 
     def __init__(self, image: PeImage) -> None:
         self.named: list[tuple[str, int]] = [
-            (entry.name, entry.rva)
-            for entry in enumerate_exports(image)
-            if _is_native_name(entry.name) and entry.forwarded_to is None
+            (name, rva)
+            for name, _, rva, forwarded_to in enumerate_exports(image)
+            if forwarded_to is None and _is_native_name(name)
         ]
         self.name_to_rva: dict[str, int] = dict(self.named)
-        # Per address, the least name under (not Zw, name): Zw first, then by name.
-        self.canonical_by_rva: dict[int, str] = {}
+
+    @functools.cached_property
+    def canonical_by_rva(self) -> dict[int, str]:
+        """Per address, the least name under (not Zw, name): Zw first, then by name."""
+        canonical: dict[int, str] = {}
         for name, rva in self.named:
-            held = self.canonical_by_rva.get(rva)
+            held = canonical.get(rva)
             if held is None or (name[:2] != "Zw", name) < (held[:2] != "Zw", held):
-                self.canonical_by_rva[rva] = name
+                canonical[rva] = name
+        return canonical
 
     def resolve(self, name: str) -> Optional[int]:
         """RVA of `name`, or of its sibling spelling when only that is exported."""

@@ -129,6 +129,38 @@ def derive_ssn_by_sort(ntdll: PeImage) -> dict[str, int]:
     return {name: index for index, (_, name) in enumerate(zw)}
 
 
+def resolve_ssns(
+    ntdll: PeImage, method: str, params: SsnSearchParams
+) -> tuple[dict[str, int], list[str]]:
+    """Service numbers of the Nt/Zw exports by one route, and the derived names.
+
+    `sort` numbers the Zw exports by address and reads no stub, so it works on
+    either layout. `prologue` reads each stub's prologue and leaves hooked
+    stubs out; `halos` falls back to stride neighbours for those and lists
+    them, in name order, as derived. Both read stubs, so they need a loaded
+    image. Each address is reported under its Zw-preferred spelling.
+    """
+    if method == "sort":
+        return derive_ssn_by_sort(ntdll), []
+    if method not in ("prologue", "halos"):
+        raise ValueError(f"unknown resolution method {method!r}")
+    _require_loaded(ntdll)
+    canonical = ntdll.native_exports.canonical_by_rva
+    mapping: dict[str, int] = {}
+    derived: list[str] = []
+    for rva, name in sorted(canonical.items(), key=lambda kv: kv[1]):
+        entry_va = ntdll.image_base + rva
+        direct = _clean_ssn_at(ntdll, entry_va)
+        if method == "prologue":
+            if direct is not None:
+                mapping[name] = direct
+            continue
+        mapping[name] = derive_ssn_neighbors(ntdll, entry_va, params)
+        if direct is None:
+            derived.append(name)
+    return mapping, derived
+
+
 def hash_name(name: str) -> int:
     """Rotate-right-13 additive hash over the raw name bytes, 64-bit."""
     if not name:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import hookscope.image
 from hookscope import BASE_FUNCTIONS, PeImage, ProcessModel
 import hookscope.simulate
 from hookscope.fixtures import GarbageHook, NtdllSpec, build_synthetic_ntdll
+from hookscope.image import Layout, NativeExportIndex, parse_image
 from hookscope.procspec import load_process_spec
 
 from conftest import (
@@ -171,6 +174,39 @@ class TestOneExportWalkPerCommand:
         result = runner.invoke(main, [arg.format(**scenario_files) for arg in command])
         assert result.exit_code == exit_code, result.output
         assert len(export_walks) == 1
+
+
+class TestLazyCanonicalNames:
+    """Only commands that name stubs by address build `canonical_by_rva`."""
+
+    @pytest.fixture
+    def canonical_builds(self, monkeypatch):
+        builds = []
+        build = NativeExportIndex.canonical_by_rva.func
+
+        def spy(index):
+            builds.append(index)
+            return build(index)
+
+        lazy = functools.cached_property(spy)
+        lazy.__set_name__(NativeExportIndex, "canonical_by_rva")
+        monkeypatch.setattr(NativeExportIndex, "canonical_by_rva", lazy)
+        return builds
+
+    @pytest.mark.parametrize(
+        "command, exit_code, builds",
+        [
+            (["scan", "{spec}"], 1, 0),
+            (["ssn", "{ntdll}", "--method", "sort", "--base", "{base}"], 0, 0),
+            (["table", "{ntdll}", "--base", "{base}", "--out", "{tmp}/t.bin"], 0, 1),
+        ],
+    )
+    def test_built_only_when_read(
+        self, runner, scenario_files, canonical_builds, command, exit_code, builds
+    ):
+        result = runner.invoke(main, [arg.format(**scenario_files) for arg in command])
+        assert result.exit_code == exit_code, result.output
+        assert len(canonical_builds) == builds
 
 
 class TestCompactJson:
@@ -343,6 +379,52 @@ class TestSsnCommand:
         assert doc["ssns"]["ZwCreateUserProcess"] == 201
         assert "ZwCreateUserProcess" in doc["derived"]
         assert "ZwOpenProcess" not in doc["derived"]
+
+    def test_halos_text_marks_derived_names(self, runner, tmp_path, scenario_ntdll):
+        path = self._dump(tmp_path, scenario_ntdll)
+        args = ["ssn", str(path), "--method", "halos", "--base", f"{scenario_ntdll.image_base:x}"]
+        doc = json.loads(runner.invoke(main, args + ["--format", "json"]).output)
+        text = runner.invoke(main, args)
+        assert text.exit_code == 0
+        assert len(doc["derived"]) == len(HOOKED_NAMES)
+        assert text.output == "".join(
+            f"{name} {doc['ssns'][name]}{' (derived)' if name in doc['derived'] else ''}\n"
+            for name in sorted(doc["ssns"])
+        )
+
+    @staticmethod
+    def _file_layout(image):
+        """`image` as an on-disk file: its sections packed right after the
+        headers, so raw offsets no longer equal RVAs."""
+        data = bytearray(image.data[: image.headers_size])
+        e_lfanew = struct.unpack_from("<I", data, 0x3C)[0]
+        count, _, _, _, opt_size = struct.unpack_from("<HIIIH", data, e_lfanew + 6)
+        for i in range(count):
+            header = e_lfanew + 24 + opt_size + 40 * i
+            raw_size, raw_offset = struct.unpack_from("<II", data, header + 16)
+            struct.pack_into("<I", data, header + 20, len(data))
+            data += image.data[raw_offset : raw_offset + raw_size]
+        return bytes(data)
+
+    @pytest.mark.parametrize("method, exit_code", [("prologue", 2), ("halos", 2), ("sort", 0)])
+    def test_file_layout_ntdll(self, runner, tmp_path, method, exit_code):
+        image = build_synthetic_ntdll(NtdllSpec(functions=positioned_functions(8)))
+        loaded = self._dump(tmp_path, image, "loaded.dump")
+        on_disk = tmp_path / "ntdll.dll"
+        on_disk.write_bytes(self._file_layout(image))
+        assert parse_image(on_disk.read_bytes(), Layout.FILE).sections[0].raw_offset == 0x400
+        result = runner.invoke(main, ["ssn", str(on_disk), "--method", method, "--layout", "file"])
+        assert result.exit_code == exit_code, result.output
+        if exit_code == 2:
+            assert_typed_exit(result)
+            assert "loaded-layout" in result.output
+        else:
+            twin = runner.invoke(
+                main, ["ssn", str(loaded), "--method", method, "--base", f"{image.image_base:x}"]
+            )
+            assert twin.exit_code == 0
+            assert result.output == twin.output
+            assert result.output.count("\n") == 8
 
     def test_no_zw_exports_exit_two(self, runner, tmp_path):
         image = build_synthetic_ntdll(NtdllSpec(functions=(("NtOnly", 0),)))

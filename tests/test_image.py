@@ -7,7 +7,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hookscope import (
     DataDirectory,
@@ -30,10 +30,12 @@ from hookscope.fixtures import ModuleSpec, NtdllSpec, build_synthetic_module, bu
 import hookscope.image
 from hookscope.image import (
     ExportEntry,
+    IatSlot,
     NativeExportIndex,
     _read_cstring,
     _read_cstrings,
     offset_to_rva,
+    read_at_rva,
 )
 
 from conftest import build_header_only_pe, positioned_functions
@@ -225,6 +227,122 @@ class TestEnumerateExports:
         assert peak < len(data) // 16
 
 
+def reference_enumerate_exports(image):
+    """The export walk as a plain loop (a set of named slots, a forwarder
+    helper, an unconditional ordinal-only pass); `enumerate_exports` must
+    return the same entries and log the same records."""
+    log = logging.getLogger("hookscope.image")
+    dir_rva, dir_size = image.directories[DataDirectory.EXPORT_TABLE]
+    ordinal_base, num_funcs, num_names, aof, aon, aoo = struct.unpack(
+        "<6I", read_at_rva(image, dir_rva + 16, 24)
+    )
+    functions = struct.unpack(f"<{num_funcs}I", read_at_rva(image, aof, 4 * num_funcs))
+    name_rvas = struct.unpack(f"<{num_names}I", read_at_rva(image, aon, 4 * num_names))
+    ordinals = struct.unpack(f"<{num_names}H", read_at_rva(image, aoo, 2 * num_names))
+    dir_end = dir_rva + dir_size
+
+    def _forward(rva):
+        if dir_rva <= rva < dir_end:
+            return _read_cstring(image, rva)
+        return None
+
+    entries = []
+    named_slots = set()
+    skipped = {}
+    for j, (name, ord_idx) in enumerate(zip(_read_cstrings(image, name_rvas), ordinals)):
+        if name is None:
+            reason = "have an unreadable name rva"
+        elif ord_idx >= num_funcs:
+            reason = "have an ordinal index out of range"
+        elif functions[ord_idx] == 0:
+            reason = "map to an empty function slot"
+        else:
+            rva = functions[ord_idx]
+            named_slots.add(ord_idx)
+            entries.append(ExportEntry(name, ordinal_base + ord_idx, rva, _forward(rva)))
+            continue
+        if reason in skipped:
+            skipped[reason][0] += 1
+        else:
+            skipped[reason] = [1, j, name_rvas[j]]
+    for reason, (count, j, name_rva) in skipped.items():
+        log.warning(
+            "%d export names %s; skipped (first: name %d at rva %#x)", count, reason, j, name_rva
+        )
+
+    for i, rva in enumerate(functions):
+        if rva == 0 or i in named_slots:
+            continue
+        entries.append(ExportEntry(None, ordinal_base + i, rva, _forward(rva)))
+    return entries
+
+
+def reference_canonical(named):
+    """Per address, the least Zw name, else the least name; in first-seen order."""
+    names_by_rva: dict[int, list[str]] = {}
+    for name, rva in named:
+        names_by_rva.setdefault(rva, []).append(name)
+    canonical = {}
+    for rva, names in names_by_rva.items():
+        zw = sorted(n for n in names if n.startswith("Zw"))
+        canonical[rva] = zw[0] if zw else sorted(names)[0]
+    return canonical
+
+
+# Random export directories live in one section at RVA 0x1000-0x3000: the
+# directory header at 0x1000 with forwarder strings up to its end at 0x1400,
+# then the function, name and ordinal arrays, the names, and code RVAs.
+_EXPORT_DIR = (0x1000, 0x400)
+_FORWARDERS = {0x1100 + 0x20 * k: f"other.Fwd{k}" for k in range(4)}
+_NAME_TEXTS = ["ZwOpen", "NtOpen", "ZwClose", "NtClose", "NtQuery", "RtlInit", "Zw", ""]
+_NAMES = {0x1800 + 0x20 * k: name for k, name in enumerate(_NAME_TEXTS)}
+_FUNCS, _NAME_RVAS, _ORDINALS = 0x1400, 0x1500, 0x1600
+
+
+@st.composite
+def export_directories(draw):
+    num_funcs = draw(st.integers(0, 10))
+    num_names = draw(st.integers(0, 10))
+    # Few code RVAs, so that several slots (and Nt/Zw spellings) share one.
+    function_rva = (
+        st.sampled_from([0, *_FORWARDERS, 0x1000, 0x13FF, 0x1400])
+        | st.sampled_from([0x2000, 0x2020])
+        | st.integers(0x2000, 0x2FFF)
+    )
+    name_rva = (
+        st.sampled_from(list(_NAMES))
+        | st.sampled_from(list(_NAMES)[:4])
+        | st.sampled_from([0x1801, 0xFFFFFF00])
+        | st.integers(0, 0x3100)
+    )
+    functions = draw(st.lists(function_rva, min_size=num_funcs, max_size=num_funcs))
+    name_rvas = draw(st.lists(name_rva, min_size=num_names, max_size=num_names))
+    # Low ordinals often, so that several names share a slot.
+    ordinal = st.integers(0, 1) | st.integers(0, num_funcs + 1) | st.just(0xFFFF)
+    ordinals = draw(st.lists(ordinal, min_size=num_names, max_size=num_names))
+    layout = draw(st.sampled_from([Layout.LOADED, Layout.FILE]))
+
+    virtual = bytearray(
+        build_header_only_pe(
+            directories={0: _EXPORT_DIR},
+            sections=[(".edata", 0x1000, 0x2000, 0x400, 0x2000)],
+            total_size=0x3000,
+        )
+    )
+    struct.pack_into(
+        "<6I", virtual, 0x1000 + 16, draw(st.integers(0, 3)), num_funcs, num_names,
+        _FUNCS, _NAME_RVAS, _ORDINALS,
+    )
+    struct.pack_into(f"<{num_funcs}I", virtual, _FUNCS, *functions)
+    struct.pack_into(f"<{num_names}I", virtual, _NAME_RVAS, *name_rvas)
+    struct.pack_into(f"<{num_names}H", virtual, _ORDINALS, *ordinals)
+    for rva, text in {**_FORWARDERS, **_NAMES}.items():
+        virtual[rva : rva + len(text) + 1] = text.encode() + b"\x00"
+    # The file layout holds the section at raw offset 0x400, not at its RVA.
+    data = virtual if layout is Layout.LOADED else virtual[:0x400] + virtual[0x1000:]
+    return parse_image(bytes(data), layout, 0x7FFE00000000)
+
+
 _NAME_LENGTHS = (0, 1, 7, 511, 512, 513)
 
 
@@ -252,6 +370,89 @@ def _string_image(layout, fill, plants):
     del data[0x2000 if layout is Layout.LOADED else 0x1800 :]
     data[-3:] = b"xyz"
     return parse_image(bytes(data), layout, 0x7FFE00000000)
+
+
+class TestExportWalkMatchesReference:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=150)
+    @given(image=export_directories())
+    def test_entries_logs_and_index(self, caplog, image):
+        def walk(enumerate_):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hookscope.image"):
+                entries = enumerate_(image)
+            return entries, [(r.name, r.levelno, r.msg, r.args) for r in caplog.records]
+
+        expected, expected_records = walk(reference_enumerate_exports)
+        assert walk(enumerate_exports) == (expected, expected_records)
+
+        named = [
+            (e.name, e.rva)
+            for e in expected
+            if isinstance(e.name, str)
+            and (e.name.startswith("Nt") or e.name.startswith("Zw"))
+            and e.forwarded_to is None
+        ]
+        index = NativeExportIndex(image)
+        assert index.named == named
+        assert index.name_to_rva == dict(named)
+        assert list(index.canonical_by_rva.items()) == list(reference_canonical(named).items())
+
+    def test_directories_cover_every_case(self):
+        """The strategy reaches each skip kind, forwarders and ordinal-only slots."""
+        seen = set()
+
+        @settings(max_examples=100, database=None, derandomize=True)
+        @given(image=export_directories())
+        def collect(image):
+            with mock.patch.object(hookscope.image.log, "warning") as warn:
+                entries = enumerate_exports(image)
+            seen.update(call.args[2] for call in warn.call_args_list)
+            seen.update("forwarder" for e in entries if e.forwarded_to is not None)
+            seen.update("ordinal-only" for e in entries if e.name is None)
+
+        collect()
+        assert seen == {
+            "have an unreadable name rva",
+            "have an ordinal index out of range",
+            "map to an empty function slot",
+            "forwarder",
+            "ordinal-only",
+        }
+
+
+class TestRecords:
+    """`ExportEntry` and `IatSlot` are small immutable value records."""
+
+    @pytest.mark.parametrize(
+        "record, fields",
+        [
+            (
+                ExportEntry("ZwOpen", 3, 0x1020, "other.Open"),
+                ("name", "ordinal", "rva", "forwarded_to"),
+            ),
+            (
+                IatSlot("NtClose", 0x2008, 0x7FFE00001040),
+                ("imported_name", "iat_rva", "bound_value"),
+            ),
+        ],
+    )
+    def test_value_record_contract(self, record, fields):
+        kind = type(record)
+        values = tuple(getattr(record, field) for field in fields)
+        assert kind._fields == fields
+        assert tuple(record) == values
+        assert kind(*values) == record and kind(**dict(zip(fields, values))) == record
+        assert kind(*values[:-1], 0) != record
+        assert hash(record) == hash(values) == hash(kind(*values))
+        assert len({record, kind(*values)}) == 1
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], "changed")
+        assert not hasattr(record, "__dict__")
+        assert record._replace(**{fields[-1]: 0})[-1] == 0
+        assert kind.__doc__.startswith("One ")
+
+    def test_export_entry_forwarder_defaults_to_none(self):
+        assert ExportEntry("ZwOpen", 3, 0x1020).forwarded_to is None
 
 
 class TestReadCstrings:
@@ -337,18 +538,6 @@ class TestNativeExportIndex:
         assert image.native_exports is before
         assert "ZwFiller0002" in before.name_to_rva
 
-    @staticmethod
-    def _sorted_rule(named):
-        """The original rule: per address, the least Zw name, else the least name."""
-        names_by_rva: dict[int, list[str]] = {}
-        for name, rva in named:
-            names_by_rva.setdefault(rva, []).append(name)
-        canonical = {}
-        for rva, names in names_by_rva.items():
-            zw = sorted(n for n in names if n.startswith("Zw"))
-            canonical[rva] = zw[0] if zw else sorted(names)[0]
-        return canonical
-
     @given(
         st.lists(
             st.tuples(
@@ -363,7 +552,7 @@ class TestNativeExportIndex:
         entries = [ExportEntry(p + stem, i, rva) for i, (p, stem, rva) in enumerate(aliases)]
         with mock.patch.object(hookscope.image, "enumerate_exports", lambda image: entries):
             index = NativeExportIndex(self._ntdll())
-        expected = self._sorted_rule(index.named)
+        expected = reference_canonical(index.named)
         assert list(index.canonical_by_rva.items()) == list(expected.items())
 
 
