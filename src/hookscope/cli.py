@@ -18,25 +18,9 @@ from .errors import HookscopeError
 from .hooks import ReportFormat, build_report, render_report
 from .image import Layout, parse_image
 from .procspec import load_process_spec
-from .simulate import (
-    DirectNtdll,
-    ForeignTarget,
-    StubSlot,
-    SyscallSite,
-    TableLookup,
-    apply_rewrite,
-    plan_rewrite,
-    resolve_imports,
-    trace_to_json,
-)
+from .simulate import render_calls, simulate_rewrite
 from .ssn import SsnSearchParams, resolve_ssns
-from .table import (
-    assign_stub_slots,
-    build_syscall_list,
-    debug_dump,
-    deserialize_list,
-    serialize_list,
-)
+from .table import build_syscall_list, debug_dump, deserialize_list, serialize_list
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -102,9 +86,16 @@ base_option = click.option("--base", default=None, help="Image base address (hex
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
 )
-stride_option = click.option("--stride", type=int, default=32, show_default=True)
-neighbours_option = click.option("--max-neighbours", type=int, default=500, show_default=True)
-scan_limit_option = click.option("--scan-limit", type=int, default=512, show_default=True)
+# The bounds are those SsnSearchParams enforces, so a bad value is a usage error.
+stride_option = click.option(
+    "--stride", type=click.IntRange(min=1), default=32, show_default=True
+)
+neighbours_option = click.option(
+    "--max-neighbours", type=click.IntRange(min=0), default=500, show_default=True
+)
+scan_limit_option = click.option(
+    "--scan-limit", type=click.IntRange(min=2), default=512, show_default=True
+)
 
 
 @click.group()
@@ -256,54 +247,9 @@ def simulate(
         built = deserialize_list(Path(table_blob).read_bytes())
     else:
         built = build_syscall_list(process.ntdll().image, params)
-    built = assign_stub_slots(built, process.config)
-
-    ordered = [(name, name in forced) for name in targets]
-    for name in forced:
-        if name not in targets:
-            ordered.append((name, True))
-
-    plan = plan_rewrite(process, built, ordered, params)
-    rewritten = apply_rewrite(process, plan)
-    results = resolve_imports(rewritten, [name for name, _ in ordered], plan.table)
-
+    results = simulate_rewrite(process, built, targets, forced, params)
     all_passed = all(call.verdict.passed for call in results)
-    code = EXIT_CLEAN if all_passed else EXIT_FINDINGS
-    if fmt == "json":
-        doc = {
-            "traces": [
-                {
-                    "module": call.module,
-                    "function": call.function,
-                    "steps": trace_to_json(call.trace),
-                    "verdict": {
-                        "passed": call.verdict.passed,
-                        "reasons": list(call.verdict.reasons),
-                    },
-                }
-                for call in results
-            ],
-            "all_passed": all_passed,
-        }
-        return json.dumps(doc) + "\n", code
-    lines = []
-    for call in results:
-        parts = [f"{call.module}!{call.function}"]
-        for step in call.trace.steps[1:]:
-            if isinstance(step, StubSlot):
-                parts.append(f"Fnc{step.index:04X}")
-            elif isinstance(step, TableLookup):
-                parts.append(f"ssn {step.ssn}")
-            elif isinstance(step, SyscallSite):
-                parts.append(f"syscall 0x{step.va:016x}")
-            elif isinstance(step, DirectNtdll):
-                parts.append(f"ntdll 0x{step.va:016x}")
-            elif isinstance(step, ForeignTarget):
-                parts.append(f"foreign 0x{step.va:016x}")
-        status = "ok" if call.verdict.passed else "FAIL " + ",".join(call.verdict.reasons)
-        lines.append(" -> ".join(parts) + f" [{status}]")
-    lines.append(f"[+] Resolved {len(results)} calls")
-    return "\n".join(lines) + "\n", code
+    return render_calls(results, fmt == "json"), EXIT_CLEAN if all_passed else EXIT_FINDINGS
 
 if __name__ == "__main__":
     main()

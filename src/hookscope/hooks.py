@@ -16,8 +16,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import WrongLayout
-from .image import Layout, PeImage, _is_native_name, enumerate_imports
-from .simulate import normalize_module_name
+from .image import Layout, PeImage, _is_native_name
+from .simulate import ntdll_descriptors
 from .ssn import read_clean_ssn
 
 if TYPE_CHECKING:
@@ -116,12 +116,11 @@ def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
     for i, module in enumerate(process.modules):
         if i == process.ntdll_index:
             continue
-        references_ntdll = False
+        descriptors = ntdll_descriptors(module.image, ntdll.name)
+        if not descriptors:
+            continue
         findings: list[HookFinding] = []
-        for imported in enumerate_imports(module.image):
-            if normalize_module_name(imported.dll_name) != normalize_module_name(ntdll.name):
-                continue
-            references_ntdll = True
+        for imported in descriptors:
             for slot in imported.slots:
                 name = slot.imported_name
                 if not _is_native_name(name):
@@ -146,9 +145,8 @@ def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
                             detail=HookDetail.SLOT_REDIRECTED,
                         )
                     )
-        if references_ntdll:
-            findings.sort(key=lambda f: f.function)
-            results[module.name] = findings
+        findings.sort(key=lambda f: f.function)
+        results[module.name] = findings
     return dict(sorted(results.items()))
 
 

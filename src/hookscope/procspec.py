@@ -19,6 +19,9 @@ Inline fixtures make a spec fully self-contained:
                   "alias_both_prefixes": false}
     module form: {"type": "module", "imports": [["ntdll.dll", "NtFoo"], ...],
                   "tamper": {"NtFoo": "0x..."}}
+
+A key or value of the wrong JSON type, or an address outside 64 bits, is a
+`SpecInvalid` error.
 """
 
 from __future__ import annotations
@@ -59,6 +62,28 @@ def _to_int(value: Union[int, str], what: str) -> int:
     raise SpecInvalid(f"{what} must be an integer or a hex string, got {value!r}")
 
 
+def _to_address(value: Union[int, str], what: str) -> int:
+    address = _to_int(value, what)
+    if not 0 <= address < 1 << 64:
+        raise SpecInvalid(f"{what} {address:#x} is not a 64-bit address")
+    return address
+
+
+def _object(value: Any, what: str) -> Mapping[str, Any]:
+    if not isinstance(value, dict):
+        raise SpecInvalid(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _pairs(value: Any, what: str) -> list[tuple[Any, Any]]:
+    """A JSON list of two-element lists, as tuples."""
+    if not isinstance(value, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in value
+    ):
+        raise SpecInvalid(f"{what} must be a list of pairs")
+    return [tuple(pair) for pair in value]
+
+
 def _hook_from_json(doc: Mapping[str, Any]) -> Hook:
     kind = doc.get("kind")
     if kind == "jmp_rel32":
@@ -69,10 +94,14 @@ def _hook_from_json(doc: Mapping[str, Any]) -> Hook:
 
 
 def ntdll_spec_from_json(doc: Mapping[str, Any]) -> NtdllSpec:
-    functions = tuple(
-        (name, _to_int(ssn, f"SSN of {name}")) for name, ssn in doc.get("functions", [])
-    )
-    hooks = {name: _hook_from_json(h) for name, h in doc.get("hooks", {}).items()}
+    pairs = _pairs(doc.get("functions", []), "functions")
+    if not all(isinstance(name, str) for name, _ in pairs):
+        raise SpecInvalid("function names must be strings")
+    functions = tuple((name, _to_int(ssn, f"SSN of {name}")) for name, ssn in pairs)
+    hooks = {
+        name: _hook_from_json(_object(h, f"hook of {name}"))
+        for name, h in _object(doc.get("hooks", {}), "hooks").items()
+    }
     return NtdllSpec(
         functions=functions,
         hooks=hooks,
@@ -84,9 +113,12 @@ def ntdll_spec_from_json(doc: Mapping[str, Any]) -> NtdllSpec:
 
 
 def module_spec_from_json(name: str, doc: Mapping[str, Any]) -> ModuleSpec:
-    imports = tuple((dll, fn) for dll, fn in doc.get("imports", []))
+    imports = tuple(_pairs(doc.get("imports", []), "imports"))
+    if not all(isinstance(dll, str) and isinstance(fn, (str, int)) for dll, fn in imports):
+        raise SpecInvalid("each import must pair a module name with a function name or ordinal")
     tamper = {
-        fn: _to_int(value, f"tamper value of {fn}") for fn, value in doc.get("tamper", {}).items()
+        fn: _to_address(value, f"tamper value of {fn}")
+        for fn, value in _object(doc.get("tamper", {}), "tamper").items()
     }
     return ModuleSpec(name=name, imports=imports, tamper=tamper)
 
@@ -118,25 +150,34 @@ def load_process_spec(path: Union[str, Path], seed: int | None = None) -> Proces
     if seed is None:
         seed = _to_int(doc["seed"], "seed") if "seed" in doc else default_seed()
 
-    config_doc = doc.get("config", {})
+    config_doc = _object(doc.get("config", {}), "config")
     config = RewriteConfig(
-        stub_base=_to_int(config_doc.get("stub_base", 0), "stub_base"),
-        table_va=_to_int(config_doc.get("table_va", 0), "table_va"),
+        stub_base=_to_address(config_doc.get("stub_base", 0), "stub_base"),
+        table_va=_to_address(config_doc.get("table_va", 0), "table_va"),
     )
 
     ntdll_name = doc["ntdll"]
+    if not isinstance(ntdll_name, str):
+        raise SpecInvalid("'ntdll' must name a module")
     module_docs = doc["modules"]
+    if not isinstance(module_docs, list):
+        raise SpecInvalid("'modules' must be a list")
+    for m in module_docs:
+        if not isinstance(m, dict) or not isinstance(m.get("name"), str) or not m["name"]:
+            raise SpecInvalid("every module must be an object with a name")
     ntdll_doc = None
     for m in module_docs:
-        if normalize_module_name(m.get("name", "")) == normalize_module_name(ntdll_name):
+        if normalize_module_name(m["name"]) == normalize_module_name(ntdll_name):
             ntdll_doc = m
             break
     if ntdll_doc is None:
         raise SpecInvalid(f"ntdll module {ntdll_name!r} not among the spec modules")
 
-    def materialize(m: Mapping[str, Any], resolver=None) -> PeImage:
-        base = _to_int(m.get("base", 0), f"base of {m.get('name')}")
+    def materialize(m: Mapping[str, Any]) -> PeImage:
+        base = _to_address(m.get("base", 0), f"base of {m['name']}")
         if "path" in m:
+            if not isinstance(m["path"], str):
+                raise SpecInvalid(f"path of {m['name']} must be a string")
             dump = Path(m["path"])
             if not dump.is_absolute():
                 dump = path.parent / dump
@@ -146,20 +187,20 @@ def load_process_spec(path: Union[str, Path], seed: int | None = None) -> Proces
                 raise SpecInvalid(f"cannot read module dump {dump}: {exc}") from exc
             return parse_image(raw, Layout.LOADED, base)
         if "inline_fixture" in m:
-            fixture = m["inline_fixture"]
+            fixture = _object(m["inline_fixture"], f"inline_fixture of {m['name']}")
             ftype = fixture.get("type")
             if ftype == "ntdll":
                 return build_synthetic_ntdll(
                     ntdll_spec_from_json(fixture), image_base=base, seed=seed
                 )
             if ftype == "module":
-                if resolver is None:
+                if m is ntdll_doc:
                     raise SpecInvalid("module fixtures need the ntdll to resolve against")
-                return build_synthetic_module(
-                    module_spec_from_json(m["name"], fixture), resolver, image_base=base
-                )
+                spec = module_spec_from_json(m["name"], fixture)
+                resolver = {(dll, fn): resolve(dll, fn) for dll, fn in spec.imports}
+                return build_synthetic_module(spec, resolver, image_base=base)
             raise SpecInvalid(f"unknown inline fixture type {ftype!r}")
-        raise SpecInvalid(f"module {m.get('name')!r} has neither 'path' nor 'inline_fixture'")
+        raise SpecInvalid(f"module {m['name']!r} has neither 'path' nor 'inline_fixture'")
 
     ntdll_image = materialize(ntdll_doc)
 
@@ -192,18 +233,8 @@ def load_process_spec(path: Union[str, Path], seed: int | None = None) -> Proces
     for m in module_docs:
         if m is ntdll_doc:
             continue
-        name = m.get("name")
-        if not name:
-            raise SpecInvalid("every module needs a name")
-        if "inline_fixture" in m and m["inline_fixture"].get("type") == "module":
-            spec = module_spec_from_json(name, m["inline_fixture"])
-            resolver = {(dll, fn): resolve(dll, fn) for dll, fn in spec.imports}
-            image = build_synthetic_module(
-                spec, resolver, image_base=_to_int(m.get("base", 0), f"base of {name}")
-            )
-        else:
-            image = materialize(m)
-        modules.append((name, image))
+        image = materialize(m)
+        modules.append((m["name"], image))
         bases.append(image.image_base)
 
     model = build_process_model(ntdll_image, modules, bases, config)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -23,12 +24,15 @@ from .errors import (
     TargetNotLoaded,
     UnknownImport,
 )
-from .image import IatSlot, PeImage, _is_native_name, enumerate_imports, rva_to_offset
+from .image import IatSlot, ImportModule, PeImage, enumerate_imports, rva_to_offset
+from .image import _is_native_name
 from .ssn import SsnSearchParams
 from .table import (
     LIST_ENTRY_SIZE,
+    STUB_ENTRY_SIZE,
     RewriteConfig,
     SyscallList,
+    assign_stub_slots,
     make_entry,
     serialize_list,
 )
@@ -64,15 +68,16 @@ class ProcessModel:
         return self.modules[self.ntdll_index]
 
     @functools.cached_property
-    def _by_name(self) -> dict[str, ModuleEntry]:
-        """Normalized name -> first entry with it; `dataclasses.replace` starts afresh."""
-        by_name: dict[str, ModuleEntry] = {}
-        for entry in self.modules:
-            by_name.setdefault(normalize_module_name(entry.name), entry)
+    def _index_by_name(self) -> dict[str, int]:
+        """Normalized name -> index of its first entry; `dataclasses.replace` starts afresh."""
+        by_name: dict[str, int] = {}
+        for i, entry in enumerate(self.modules):
+            by_name.setdefault(normalize_module_name(entry.name), i)
         return by_name
 
     def find(self, name: str) -> Optional[ModuleEntry]:
-        return self._by_name.get(normalize_module_name(name))
+        i = self._index_by_name.get(normalize_module_name(name))
+        return None if i is None else self.modules[i]
 
 
 @dataclass(frozen=True)
@@ -159,12 +164,15 @@ class ResolvedCall:
     verdict: ChainVerdict
 
 
+def ntdll_descriptors(image: PeImage, ntdll_name: str) -> list[ImportModule]:
+    """The image's import descriptors that name ntdll, in import-table order."""
+    wanted = normalize_module_name(ntdll_name)
+    return [d for d in enumerate_imports(image) if normalize_module_name(d.dll_name) == wanted]
+
+
 def _native_ntdll_slots(module: ModuleEntry, ntdll_name: str) -> Iterator[IatSlot]:
     """The module's Nt/Zw slots imported from ntdll, in import-table order."""
-    wanted = normalize_module_name(ntdll_name)
-    for imported in enumerate_imports(module.image):
-        if normalize_module_name(imported.dll_name) != wanted:
-            continue
+    for imported in ntdll_descriptors(module.image, ntdll_name):
         for slot in imported.slots:
             if _is_native_name(slot.imported_name):
                 yield slot
@@ -207,18 +215,17 @@ def plan_rewrite(
                 if not force:
                     continue
                 entry_index = len(entries)
-                stub_slot = config.stub_base + entry_index * config.stub_entry_size
                 entries.append(
                     make_entry(
                         ntdll.image,
                         rva,
                         index.canonical_by_rva[rva],
                         params,
-                        stub_slot=stub_slot,
+                        stub_slot=config.stub_slot(entry_index),
                     )
                 )
                 address_to_index[va] = entry_index
-            new_value = config.stub_base + entry_index * config.stub_entry_size
+            new_value = config.stub_slot(entry_index)
             if slot.bound_value == new_value:
                 continue
             edits.append(
@@ -242,12 +249,9 @@ def apply_rewrite(process: ProcessModel, plan: RewritePlan) -> ProcessModel:
     double apply; all bytes outside the planned slots are untouched. Each
     edited module's image is copied once, however many of its slots change.
     """
-    index_by_name: dict[str, int] = {}
-    for i, entry in enumerate(process.modules):
-        index_by_name.setdefault(normalize_module_name(entry.name), i)
     buffers: dict[int, bytearray] = {}
     for edit in plan.edits:
-        idx = index_by_name.get(normalize_module_name(edit.module))
+        idx = process._index_by_name.get(normalize_module_name(edit.module))
         if idx is None:
             raise TargetNotLoaded(f"edit references unloaded module {edit.module!r}")
         image = process.modules[idx].image
@@ -299,12 +303,10 @@ def _trace_slot(
         return CallTrace(steps=tuple(steps))
 
     count = struct.unpack_from("<Q", blob, 0)[0]
-    stub_end = config.stub_base + count * config.stub_entry_size
-    if config.stub_base <= value < stub_end:
-        delta = value - config.stub_base
-        if delta % config.stub_entry_size:
+    index, misalign = divmod(value - config.stub_base, STUB_ENTRY_SIZE)
+    if 0 <= index < count:
+        if misalign:
             raise CorruptSlot(f"slot value {value:#x} is not on a stub boundary")
-        index = delta // config.stub_entry_size
         record = 8 + index * LIST_ENTRY_SIZE
         ssn = struct.unpack_from("<Q", blob, record)[0]
         syscall_ret = struct.unpack_from("<Q", blob, record + 0x10)[0]
@@ -382,6 +384,25 @@ def resolve_imports(
     return tuple(results)
 
 
+def simulate_rewrite(
+    process: ProcessModel,
+    table: SyscallList,
+    targets: Sequence[str],
+    forced: Sequence[str] = (),
+    params: Optional[SsnSearchParams] = None,
+) -> tuple[ResolvedCall, ...]:
+    """Assign the table's stub slots, plan and apply the rewrite, and resolve every call.
+
+    Targets are rewritten in order, forced when also in `forced`; forced modules
+    that are not targets follow. A name listed twice is visited twice.
+    """
+    ordered = [(name, name in forced) for name in targets]
+    ordered += [(name, True) for name in forced if name not in targets]
+    plan = plan_rewrite(process, assign_stub_slots(table, process.config), ordered, params)
+    rewritten = apply_rewrite(process, plan)
+    return resolve_imports(rewritten, [name for name, _ in ordered], plan.table)
+
+
 def verify_chain(trace: CallTrace, process: ProcessModel) -> ChainVerdict:
     """Check the address-level transparency of a resolved call.
 
@@ -409,10 +430,7 @@ def verify_chain(trace: CallTrace, process: ProcessModel) -> ChainVerdict:
         return ntdll.base <= va < ntdll.base + ntdll.image.extent
 
     final = trace.steps[-1]
-    if isinstance(final, SyscallSite):
-        if not in_ntdll(final.va):
-            reasons.append("OutsideNtdll")
-    elif isinstance(final, DirectNtdll):
+    if isinstance(final, (SyscallSite, DirectNtdll)):
         if not in_ntdll(final.va):
             reasons.append("OutsideNtdll")
     elif isinstance(final, ForeignTarget):
@@ -454,3 +472,45 @@ def trace_to_json(trace: CallTrace) -> list[dict]:
         elif isinstance(step, ForeignTarget):
             out.append({"step": "foreign_target", "va": f"0x{step.va:016x}"})
     return out
+
+
+# Text form of each trace step a rendered call shows; other steps are left out.
+_STEP_TEXT = {
+    "stub_slot": "Fnc{index:04X}",
+    "table_lookup": "ssn {ssn}",
+    "syscall_site": "syscall {va}",
+    "direct_ntdll": "ntdll {va}",
+    "foreign_target": "foreign {va}",
+}
+
+
+def render_calls(results: Sequence[ResolvedCall], as_json: bool) -> str:
+    """Render resolved calls as `simulate` prints them: JSON, or a text line per call."""
+    if as_json:
+        doc = {
+            "traces": [
+                {
+                    "module": call.module,
+                    "function": call.function,
+                    "steps": trace_to_json(call.trace),
+                    "verdict": {
+                        "passed": call.verdict.passed,
+                        "reasons": list(call.verdict.reasons),
+                    },
+                }
+                for call in results
+            ],
+            "all_passed": all(call.verdict.passed for call in results),
+        }
+        return json.dumps(doc) + "\n"
+    lines = []
+    for call in results:
+        parts = [f"{call.module}!{call.function}"]
+        for record in trace_to_json(call.trace):
+            text = _STEP_TEXT.get(record["step"])
+            if text is not None:
+                parts.append(text.format(**record))
+        status = "ok" if call.verdict.passed else "FAIL " + ",".join(call.verdict.reasons)
+        lines.append(" -> ".join(parts) + f" [{status}]")
+    lines.append(f"[+] Resolved {len(results)} calls")
+    return "\n".join(lines) + "\n"

@@ -76,18 +76,14 @@ class SyscallList:
 
 @dataclass(frozen=True)
 class RewriteConfig:
-    """Dispatch-side constants: table location, record sizes, stub slot base."""
+    """Dispatch-side addresses: stub slot base and table location (sizes are fixed)."""
 
     stub_base: int
     table_va: int = 0
-    list_entry_size: int = LIST_ENTRY_SIZE
-    stub_entry_size: int = STUB_ENTRY_SIZE
 
-    def __post_init__(self) -> None:
-        if self.list_entry_size != LIST_ENTRY_SIZE:
-            raise ValueError(f"list entry size is fixed at {LIST_ENTRY_SIZE:#x}")
-        if self.stub_entry_size != STUB_ENTRY_SIZE:
-            raise ValueError(f"stub entry size is fixed at {STUB_ENTRY_SIZE:#x}")
+    def stub_slot(self, index: int) -> int:
+        """Address of the interception slot that dispatches table entry `index`."""
+        return self.stub_base + index * STUB_ENTRY_SIZE
 
 
 def make_entry(
@@ -172,7 +168,7 @@ def assign_stub_slots(table: SyscallList, config: RewriteConfig) -> SyscallList:
     The slot index is the sole link between a slot and its record.
     """
     entries = tuple(
-        dataclasses.replace(e, stub_slot=config.stub_base + i * config.stub_entry_size)
+        dataclasses.replace(e, stub_slot=config.stub_slot(i))
         for i, e in enumerate(table.entries)
     )
     return SyscallList(entries=entries, base_indices=table.base_indices)

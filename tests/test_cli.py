@@ -265,6 +265,12 @@ class TestProcessSpecLoading:
         with pytest.raises(UnresolvedImport):
             load_process_spec(write_spec(tmp_path, doc))
 
+    def test_module_fixture_as_ntdll_rejected(self, tmp_path):
+        doc = scenario_spec_doc()
+        doc["ntdll"] = "kernelbase"
+        with pytest.raises(SpecInvalid, match="module fixtures need the ntdll"):
+            load_process_spec(write_spec(tmp_path, doc))
+
     def test_missing_ntdll_key(self, tmp_path):
         with pytest.raises(SpecInvalid):
             load_process_spec(write_spec(tmp_path, {"modules": []}))
@@ -283,6 +289,42 @@ class TestProcessSpecLoading:
         c = load_process_spec(path).ntdll().image.data
         assert a != b
         assert a == c
+
+
+def _module(doc, i, **fields):
+    doc["modules"][i] = {"name": doc["modules"][i]["name"], "base": "0x10000", **fields}
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda doc: doc["modules"].insert(1, "x"),
+        lambda doc: doc["modules"][1].update(name=7),
+        lambda doc: _module(doc, 1, path=7),
+        lambda doc: doc["modules"][0]["inline_fixture"].update(functions=[["ZwA"]]),
+        lambda doc: doc["modules"][1].update(inline_fixture=["module"]),
+        lambda doc: doc.update(modules=3),
+    ],
+    ids=["module-not-object", "name-not-string", "path-not-string", "function-not-pair",
+         "fixture-not-object", "modules-not-list"],
+)
+@pytest.mark.parametrize("command", ["scan", "simulate"])
+def test_malformed_spec_exit_two(runner, tmp_path, malform, command):
+    doc = scenario_spec_doc()
+    malform(doc)
+    result = runner.invoke(main, [command, str(write_spec(tmp_path, doc))])
+    assert_typed_exit(result)
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--stride", "0"), ("--max-neighbours", "-1"), ("--scan-limit", "1")]
+)
+def test_out_of_range_search_option_is_usage_error(runner, tmp_path, option, value):
+    path = write_spec(tmp_path, scenario_spec_doc())
+    result = runner.invoke(main, ["simulate", str(path), option, value])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Invalid value for '{option}'" in result.output
 
 
 class TestScanCommand:
@@ -685,13 +727,13 @@ class TestSimulateCommand:
 
     def test_target_lost_after_rewrite_exit_two(self, runner, tmp_path, monkeypatch):
         path = write_spec(tmp_path, scenario_spec_doc())
-        apply = hookscope.cli.apply_rewrite
+        apply = hookscope.simulate.apply_rewrite
 
         def drop_targets(process, plan):
             ntdll = apply(process, plan).ntdll()
             return dataclasses.replace(process, modules=(ntdll,), ntdll_index=0)
 
-        monkeypatch.setattr(hookscope.cli, "apply_rewrite", drop_targets)
+        monkeypatch.setattr(hookscope.simulate, "apply_rewrite", drop_targets)
         result = runner.invoke(main, ["simulate", str(path), "--target", "kernelbase"])
         assert_typed_exit(result)
         assert "'kernelbase' is not loaded" in result.output

@@ -174,6 +174,27 @@ class TestIatScan:
         assert finding.function == "NtEnumerateKey"
         assert finding.observed_va == 0x00007FF9E132D610
 
+    def test_module_without_native_ntdll_imports_listed_empty(self, scenario_ntdll):
+        from hookscope import RewriteConfig
+        from hookscope.fixtures import (
+            ModuleSpec,
+            build_process_model,
+            build_synthetic_module,
+        )
+
+        imports = (("ntdll.dll", "RtlOpenCurrentUser"), ("kernel32.dll", "NtClose"))
+        resolver = {imported: 0x00007FFEA0001000 for imported in imports}
+        rtluser = build_synthetic_module(
+            ModuleSpec(name="rtluser", imports=imports), resolver, image_base=0x00007FFEAC000000
+        )
+        model = build_process_model(
+            scenario_ntdll,
+            [("rtluser", rtluser)],
+            [0x00007FFEAC000000],
+            RewriteConfig(stub_base=0x7FF700000000),
+        )
+        assert scan_iat_hooks(model) == {"rtluser": []}
+
     def test_missing_ntdll(self, scenario_process):
         broken = ProcessModel(
             modules=scenario_process.modules,

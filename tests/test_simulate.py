@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hookscope import (
     RewriteConfig,
@@ -17,13 +20,16 @@ from hookscope import (
     enumerate_imports,
     hash_name,
     plan_rewrite,
+    render_calls,
     resolve_call,
     resolve_imports,
     serialize_list,
+    simulate_rewrite,
     verify_chain,
 )
 from hookscope.errors import (
     CorruptSlot,
+    HookscopeError,
     MalformedTrace,
     OutOfRange,
     StaleEdit,
@@ -54,6 +60,7 @@ from conftest import (
     EXPECTED_TABLE,
     KERNELBASE_BASE,
     STUB_BASE,
+    make_scenario_ntdll,
     make_scenario_process,
     positioned_functions,
 )
@@ -501,3 +508,129 @@ class TestTraceJson:
         ]
         assert doc[2]["index"] == 2
         assert doc[4]["va"] == "0x00007ffeb258e8f2"
+
+
+ADVAPI32_BASE = 0x00007FFEAF000000
+FOREIGN_VA = 0x00007FF9E132D610
+
+
+@functools.cache
+def three_module_process():
+    """Scenario ntdll, kernelbase with one tampered slot, and advapi32, whose
+    imports are partly outside the scenario table."""
+    ntdll = make_scenario_ntdll()
+    kernelbase = make_scenario_process(ntdll, tamper={"NtOpenProcess": FOREIGN_VA}).modules[1]
+    names = ("NtOpenProcess", "ZwFiller0100", "NtFiller0150", "NtFiller0151", "NtDelayExecution")
+    imports = tuple(("ntdll.dll", n) for n in names)
+    resolver = {
+        (dll, fn): ntdll.image_base + ntdll.native_exports.resolve(fn) for dll, fn in imports
+    }
+    advapi32 = build_synthetic_module(
+        ModuleSpec(name="advapi32", imports=imports, tamper={"NtFiller0151": FOREIGN_VA}),
+        resolver,
+        image_base=ADVAPI32_BASE,
+    )
+    return build_process_model(
+        ntdll,
+        [("kernelbase", kernelbase.image), ("advapi32", advapi32)],
+        [KERNELBASE_BASE, ADVAPI32_BASE],
+        RewriteConfig(stub_base=STUB_BASE),
+    )
+
+
+def reference_pipeline(process, table, targets, forced, params=None):
+    """The explicit pipeline `simulate_rewrite` replaces."""
+    built = assign_stub_slots(table, process.config)
+    ordered = [(name, name in forced) for name in targets]
+    for name in forced:
+        if name not in targets:
+            ordered.append((name, True))
+    plan = plan_rewrite(process, built, ordered, params)
+    rewritten = apply_rewrite(process, plan)
+    return resolve_imports(rewritten, [name for name, _ in ordered], plan.table)
+
+
+def outcome(run):
+    try:
+        return run()
+    except HookscopeError as exc:
+        return type(exc), str(exc)
+
+
+MODULE_NAMES = ("kernelbase", "advapi32", "ADVAPI32.dll", "C:\\x\\KernelBase.dll")
+
+
+@functools.cache
+def three_module_table():
+    return build_syscall_list(three_module_process().ntdll().image, PARAMS)
+
+
+class TestSimulateRewrite:
+    @given(
+        targets=st.lists(st.sampled_from(MODULE_NAMES), max_size=3, unique=True),
+        forced=st.lists(st.sampled_from(MODULE_NAMES), max_size=3),
+    )
+    @example(targets=["kernelbase"], forced=["advapi32", "bcrypt"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_matches_explicit_pipeline(self, targets, forced):
+        process, table = three_module_process(), three_module_table()
+        got = outcome(lambda: simulate_rewrite(process, table, targets, forced, PARAMS))
+        want = outcome(lambda: reference_pipeline(process, table, targets, forced, PARAMS))
+        assert got == want
+
+    def test_forced_growth_reaches_every_import(self):
+        process, table = three_module_process(), three_module_table()
+        calls = simulate_rewrite(process, table, ["advapi32"], ["advapi32", "kernelbase"])
+        assert [c.module for c in calls] == ["advapi32"] * 5 + ["kernelbase"] * len(EXPECTED_TABLE)
+        assert all(isinstance(c.trace.steps[-1], SyscallSite) for c in calls)
+
+
+def reference_text(results):
+    """The per-step-type text rendering `render_calls` replaces."""
+    lines = []
+    for call in results:
+        parts = [f"{call.module}!{call.function}"]
+        for step in call.trace.steps[1:]:
+            if isinstance(step, StubSlot):
+                parts.append(f"Fnc{step.index:04X}")
+            elif isinstance(step, TableLookup):
+                parts.append(f"ssn {step.ssn}")
+            elif isinstance(step, SyscallSite):
+                parts.append(f"syscall 0x{step.va:016x}")
+            elif isinstance(step, DirectNtdll):
+                parts.append(f"ntdll 0x{step.va:016x}")
+            elif isinstance(step, ForeignTarget):
+                parts.append(f"foreign 0x{step.va:016x}")
+        status = "ok" if call.verdict.passed else "FAIL " + ",".join(call.verdict.reasons)
+        lines.append(" -> ".join(parts) + f" [{status}]")
+    lines.append(f"[+] Resolved {len(results)} calls")
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderCalls:
+    @pytest.fixture(scope="class")
+    def results(self):
+        process, table = three_module_process(), three_module_table()
+        # One record whose syscall address lies outside ntdll fails its chain.
+        moved = dataclasses.replace(table.entries[0], syscall_ret=FOREIGN_VA)
+        table = dataclasses.replace(table, entries=(moved,) + table.entries[1:])
+        return simulate_rewrite(process, table, ["advapi32", "kernelbase"], ["kernelbase"])
+
+    def test_results_cover_every_printed_step_and_a_failed_verdict(self, results):
+        kinds = {type(step) for call in results for step in call.trace.steps}
+        assert {StubSlot, TableLookup, SyscallSite, DirectNtdll, ForeignTarget} <= kinds
+        failed = [c for c in results if not c.verdict.passed]
+        assert {type(c.trace.steps[-1]) for c in failed} == {SyscallSite, ForeignTarget}
+        assert all(c.verdict.reasons == ("OutsideNtdll",) for c in failed)
+
+    def test_text_matches_reference(self, results):
+        assert render_calls(results, as_json=False) == reference_text(results)
+        assert render_calls((), as_json=False) == reference_text(())
+
+    def test_json_document(self, results):
+        doc = json.loads(render_calls(results, as_json=True))
+        assert doc["all_passed"] is False
+        assert [t["steps"] for t in doc["traces"]] == [trace_to_json(c.trace) for c in results]
+        assert [t["verdict"]["reasons"] for t in doc["traces"]] == [
+            list(c.verdict.reasons) for c in results
+        ]

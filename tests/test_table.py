@@ -19,7 +19,7 @@ from hookscope import (
 )
 from hookscope.errors import MalformedBlob, MissingBaseFunction, SsnOutOfRange, TableFull
 from hookscope.fixtures import GarbageHook, NtdllSpec, build_synthetic_ntdll
-from hookscope.table import LIST_ENTRY_SIZE, debug_dump
+from hookscope.table import LIST_ENTRY_SIZE, STUB_ENTRY_SIZE, debug_dump
 
 from conftest import EXPECTED_TABLE, STUB_BASE, positioned_functions
 
@@ -192,12 +192,15 @@ class TestStubSlots:
         assert table.entries[11].stub_slot == STUB_BASE + 0xDC
 
     def test_config_sizes_pinned(self):
-        with pytest.raises(ValueError):
-            RewriteConfig(stub_base=0, list_entry_size=0x30)
-        with pytest.raises(ValueError):
-            RewriteConfig(stub_base=0, stub_entry_size=0x18)
-        assert RewriteConfig(stub_base=0).list_entry_size == 0x28
-        assert RewriteConfig(stub_base=0).stub_entry_size == 0x14
+        assert LIST_ENTRY_SIZE == 0x28
+        assert STUB_ENTRY_SIZE == 0x14
+        config = RewriteConfig(stub_base=STUB_BASE)
+        for i in (0, 1, 2, 11, 511):
+            assert config.stub_slot(i) == STUB_BASE + i * 0x14
+        with pytest.raises(TypeError):
+            RewriteConfig(stub_base=0, list_entry_size=0x28)
+        with pytest.raises(TypeError):
+            RewriteConfig(stub_base=0, stub_entry_size=0x14)
 
 
 entry_strategy = st.builds(
