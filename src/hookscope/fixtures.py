@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .errors import OverlappingRanges, SpecInvalid, UnresolvedImport
-from .image import Layout, PeImage, _sibling_spelling, parse_image
+from .image import MACHINE_AMD64, Layout, PeImage, _sibling_spelling, parse_image
 from .simulate import ModuleEntry, ProcessModel
 from .table import RewriteConfig
 
@@ -24,6 +24,9 @@ DEFAULT_MODULE_BASE = 0x00007FFE_20000000
 
 _PAGE = 0x1000
 _HEADERS_SIZE = 0x400
+# Upper bound on a generated ntdll's stub region end, so a spec cannot make
+# the generator allocate an image of gigabytes.
+_MAX_STUB_END = 16 << 20
 
 # mov r10, rcx ; mov eax, imm32
 _CLEAN_HEAD = b"\x4c\x8b\xd1\xb8"
@@ -98,6 +101,9 @@ def _validate_ntdll_spec(spec: NtdllSpec) -> None:
         raise SpecInvalid(f"syscall offset {spec.syscall_offset:#x} does not fit the stride")
     if spec.base_rva < _PAGE:
         raise SpecInvalid("stub region must start past the headers page")
+    stub_end = spec.base_rva + len(spec.functions) * spec.stride
+    if stub_end > _MAX_STUB_END:
+        raise SpecInvalid(f"stub region ends at {stub_end:#x}, past {_MAX_STUB_END:#x}")
     unknown = set(spec.hooks) - set(names)
     if unknown:
         raise SpecInvalid(f"hooks reference unknown functions: {sorted(unknown)}")
@@ -148,7 +154,6 @@ def _align(value: int, alignment: int) -> int:
 
 
 def _dos_and_pe_headers(
-    machine: int,
     image_base: int,
     size_of_image: int,
     section_headers: bytes,
@@ -162,7 +167,7 @@ def _dos_and_pe_headers(
     coff = struct.pack(
         "<4sHHIIIHH",
         b"PE\x00\x00",
-        machine,
+        MACHINE_AMD64,
         num_sections,
         0,
         0,
@@ -287,7 +292,6 @@ def build_synthetic_ntdll(
         section_headers += _section_header(".text", text_rva, text_size, 0x60000020)
     section_headers += _section_header(".rdata", edata_rva, edata_size, 0x40000040)
     headers = _dos_and_pe_headers(
-        machine=0x8664,
         image_base=image_base,
         size_of_image=size_of_image,
         section_headers=section_headers,
@@ -391,7 +395,6 @@ def build_synthetic_module(
 
     section_headers = _section_header(".idata", idata_rva, max(idata_size, 1), 0xC0000040)
     headers = _dos_and_pe_headers(
-        machine=0x8664,
         image_base=image_base,
         size_of_image=size_of_image,
         section_headers=section_headers,

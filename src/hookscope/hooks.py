@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import WrongLayout
-from .image import Layout, PeImage, _is_native_name
+from .image import PeImage, _is_native_name
 from .simulate import ntdll_descriptors
-from .ssn import read_clean_ssn
+from .ssn import read_stubs
 
 if TYPE_CHECKING:
     from .simulate import ProcessModel
@@ -64,23 +63,20 @@ def decode_jmp_rel32(entry_va: int, prologue: bytes) -> int:
 def scan_inline_hooks(ntdll: PeImage) -> list[HookFinding]:
     """Flag every Nt/Zw export whose first bytes deviate from the template.
 
-    An E9 first byte is decoded to its jump target; any other deviation is
-    reported without a target. Findings are sorted by function name.
+    The hooked stubs are those `read_stubs` reads as not intact, reported once
+    per name. An E9 first byte is decoded to its jump target; any other
+    deviation is reported without a target. Findings are sorted by function
+    name.
     """
-    if ntdll.layout is not Layout.LOADED:
-        raise WrongLayout("prologue scan requires a loaded-layout image")
+    stubs = read_stubs(ntdll)
     findings: list[HookFinding] = []
     for name, rva in ntdll.native_exports.named:
-        if rva + 8 > ntdll.extent:
-            log.warning("export %s points outside the mapped extent; skipped", name)
+        if stubs.get(rva, 0) is not None:  # intact, or outside the extent
             continue
         entry_va = ntdll.image_base + rva
-        prologue = ntdll.data[rva : rva + 8]
-        if read_clean_ssn(prologue) is not None:
-            continue
-        if prologue[0] == 0xE9:
+        if ntdll.data[rva] == 0xE9:
             detail = HookDetail.JMP_REL32
-            observed = decode_jmp_rel32(entry_va, prologue)
+            observed = decode_jmp_rel32(entry_va, ntdll.data[rva : rva + 8])
         else:
             detail = HookDetail.OTHER_PROLOGUE
             observed = entry_va
@@ -120,6 +116,7 @@ def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
         if not descriptors:
             continue
         findings: list[HookFinding] = []
+        unexported: list[str] = []
         for imported in descriptors:
             for slot in imported.slots:
                 name = slot.imported_name
@@ -127,11 +124,7 @@ def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
                     continue
                 rva = index.resolve(name)
                 if rva is None:
-                    log.warning(
-                        "%s imports %s from ntdll but ntdll does not export it",
-                        module.name,
-                        name,
-                    )
+                    unexported.append(name)
                     continue
                 expected = ntdll.base + rva
                 if slot.bound_value != expected:
@@ -145,6 +138,13 @@ def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
                             detail=HookDetail.SLOT_REDIRECTED,
                         )
                     )
+        if unexported:
+            log.warning(
+                "%s imports %d names from ntdll that ntdll does not export; skipped (first: %s)",
+                module.name,
+                len(unexported),
+                unexported[0],
+            )
         findings.sort(key=lambda f: f.function)
         results[module.name] = findings
     return dict(sorted(results.items()))

@@ -322,12 +322,12 @@ def read_bytes_at_va(image: PeImage, va: int, length: int) -> bytes:
     return image.data[off : off + length]
 
 
-def _read_cstring(image: PeImage, rva: int, max_len: int = _MAX_NAME_LEN) -> Optional[str]:
+def _read_cstring(image: PeImage, rva: int) -> Optional[str]:
     try:
         off = rva_to_offset(image, rva)
     except UnmappedRva:
         return None
-    nul = image.data.find(b"\x00", off, min(image.extent, off + max_len))
+    nul = image.data.find(b"\x00", off, min(image.extent, off + _MAX_NAME_LEN))
     if nul < 0:
         return None
     return image.data[off:nul].decode("latin-1")

@@ -8,11 +8,14 @@ follows a stub and hashes function names.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NoCleanNeighbor, NoZwExports, OutOfRange, SsnOutOfRange, WrongLayout
 from .image import Layout, PeImage
+
+log = logging.getLogger(__name__)
 
 # mov r10, rcx ; mov eax, imm -- with the immediate's high word zero
 CLEAN_PROLOGUE_HEAD = b"\x4c\x8b\xd1\xb8"
@@ -57,11 +60,31 @@ def _require_loaded(image: PeImage) -> None:
         raise WrongLayout("stub reads require a loaded-layout image")
 
 
+def read_stubs(ntdll: PeImage) -> dict[int, Optional[int]]:
+    """Each Nt/Zw export address mapped to its direct service number.
+
+    Reads every address's eight-byte prologue once, whichever names share it:
+    an intact stub maps to its number, a hooked one to None. Addresses whose
+    prologue runs past the extent are left out and logged in one warning.
+    """
+    _require_loaded(ntdll)
+    stubs: dict[int, Optional[int]] = {}
+    outside: list[str] = []
+    for name, rva in ntdll.native_exports.named:
+        if rva + 8 > ntdll.extent:
+            outside.append(name)
+        elif rva not in stubs:
+            stubs[rva] = read_clean_ssn(ntdll.data[rva : rva + 8])
+    if outside:
+        log.warning(
+            "%d exports run past the mapped extent; skipped (first: %s)", len(outside), outside[0]
+        )
+    return stubs
+
+
 def _clean_ssn_at(image: PeImage, va: int) -> Optional[int]:
     off = va - image.image_base
-    if off < 0 or off + 8 > image.extent:
-        return None
-    return read_clean_ssn(image.data[off : off + 8])
+    return read_clean_ssn(image.data[off : off + 8]) if off >= 0 else None
 
 
 def derive_ssn_neighbors(ntdll: PeImage, entry_va: int, params: SsnSearchParams) -> int:
@@ -144,20 +167,18 @@ def resolve_ssns(
         return derive_ssn_by_sort(ntdll), []
     if method not in ("prologue", "halos"):
         raise ValueError(f"unknown resolution method {method!r}")
-    _require_loaded(ntdll)
+    stubs = read_stubs(ntdll)
     canonical = ntdll.native_exports.canonical_by_rva
     mapping: dict[str, int] = {}
     derived: list[str] = []
-    for rva, name in sorted(canonical.items(), key=lambda kv: kv[1]):
-        entry_va = ntdll.image_base + rva
-        direct = _clean_ssn_at(ntdll, entry_va)
-        if method == "prologue":
-            if direct is not None:
-                mapping[name] = direct
-            continue
-        mapping[name] = derive_ssn_neighbors(ntdll, entry_va, params)
-        if direct is None:
+    for rva, ssn in sorted(stubs.items(), key=lambda kv: canonical[kv[0]]):
+        name = canonical[rva]
+        if ssn is None:
+            if method == "prologue":
+                continue
+            ssn = derive_ssn_neighbors(ntdll, ntdll.image_base + rva, params)
             derived.append(name)
+        mapping[name] = ssn
     return mapping, derived
 
 

@@ -15,20 +15,14 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    MalformedBlob,
-    MissingBaseFunction,
-    SyscallNotFound,
-    TableFull,
-    WrongLayout,
-)
-from .image import Layout, PeImage
+from .errors import MalformedBlob, MissingBaseFunction, SyscallNotFound, TableFull
+from .image import PeImage
 from .ssn import (
     SsnSearchParams,
     derive_ssn_neighbors,
     find_syscall_instruction,
     hash_name,
-    read_clean_ssn,
+    read_stubs,
 )
 
 MAX_ENTRIES = 512
@@ -116,39 +110,21 @@ def build_syscall_list(
     """Build the table over an ntdll image.
 
     Includes the six base functions unconditionally (either spelling must
-    resolve), every requested extra name, and every Nt/Zw export whose
-    prologue deviates from the intact template. Nt/Zw spellings of one
-    address collapse to a single entry keyed by the Zw name, and entries are
-    ordered as the export name table orders them: lexicographically.
+    resolve), every requested extra name, and every stub `read_stubs` reads
+    as hooked. Nt/Zw spellings of one address collapse to a single entry
+    keyed by the Zw name, and entries are ordered as the export name table
+    orders them: lexicographically.
     """
-    if ntdll.layout is not Layout.LOADED:
-        raise WrongLayout("table construction requires a loaded-layout image")
+    stubs = read_stubs(ntdll)
     index = ntdll.native_exports
-
-    included: dict[int, str] = {}
-
-    def include(rva: int) -> None:
-        included[rva] = index.canonical_by_rva[rva]
-
-    base_rvas: dict[str, int] = {}
-    for name in BASE_FUNCTIONS:
+    included = {rva: index.canonical_by_rva[rva] for rva, ssn in stubs.items() if ssn is None}
+    named_rvas: list[int] = []
+    for name in (*BASE_FUNCTIONS, *extra_names):
         rva = index.resolve(name)
         if rva is None:
             raise MissingBaseFunction(f"{name} absent from exports")
-        base_rvas[name] = rva
-        include(rva)
-    for name in extra_names:
-        rva = index.resolve(name)
-        if rva is None:
-            raise MissingBaseFunction(f"requested function {name} absent from exports")
-        include(rva)
-
-    for name, rva in index.name_to_rva.items():
-        if rva in included:
-            continue
-        prologue = ntdll.data[rva : rva + 8]
-        if read_clean_ssn(prologue) is None:
-            include(rva)
+        included[rva] = index.canonical_by_rva[rva]
+        named_rvas.append(rva)
 
     if len(included) > MAX_ENTRIES:
         raise TableFull(f"{len(included)} candidate functions exceed capacity {MAX_ENTRIES}")
@@ -158,7 +134,7 @@ def build_syscall_list(
         make_entry(ntdll, rva, canonical, params) for rva, canonical in ordered
     )
     rva_to_index = {rva: i for i, (rva, _) in enumerate(ordered)}
-    base_indices = tuple(rva_to_index[base_rvas[name]] for name in BASE_FUNCTIONS)
+    base_indices = tuple(rva_to_index[rva] for rva in named_rvas[:_BASE_INDEX_COUNT])
     return SyscallList(entries=entries, base_indices=base_indices)
 
 

@@ -10,6 +10,7 @@ from hookscope import (
     RewriteConfig,
     enumerate_exports,
 )
+from hookscope.image import DataDirectory
 from hookscope.fixtures import (
     JmpRel32Hook,
     ModuleSpec,
@@ -121,6 +122,19 @@ def scenario_process():
 def clean_478_ntdll():
     """Fully clean library with 478 position-numbered Zw stubs."""
     return build_synthetic_ntdll(NtdllSpec(functions=positioned_functions(478)))
+
+
+def edit_exports(image, names=None, functions=None) -> bytes:
+    """A loaded image's bytes with export name entry j reading as entry i
+    (`names={j: i}`) and function slot k holding `rva` (`functions={k: rva}`)."""
+    dir_rva, _ = image.directories[DataDirectory.EXPORT_TABLE]
+    aof, aon = struct.unpack_from("<II", image.data, dir_rva + 28)
+    out = bytearray(image.data)
+    for j, i in (names or {}).items():
+        out[aon + 4 * j : aon + 4 * j + 4] = image.data[aon + 4 * i : aon + 4 * i + 4]
+    for k, rva in (functions or {}).items():
+        struct.pack_into("<I", out, aof + 4 * k, rva)
+    return bytes(out)
 
 
 def build_header_only_pe(

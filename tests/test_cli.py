@@ -5,6 +5,7 @@ import functools
 import json
 import struct
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,21 @@ def test_malformed_spec_exit_two(runner, tmp_path, malform, command):
     malform(doc)
     result = runner.invoke(main, [command, str(write_spec(tmp_path, doc))])
     assert_typed_exit(result)
+
+
+def test_oversized_stub_region_rejected_before_allocation(runner, tmp_path):
+    doc = scenario_spec_doc()
+    doc["modules"][0]["inline_fixture"]["base_rva"] = "0x2000000"
+    path = write_spec(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["scan", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.output
+    assert "stub region ends at" in result.output
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
-"""End-to-end fuzz of `scan` and `simulate`: every input gives exit 0, 1 or 2.
+"""End-to-end fuzz of every command: every input gives exit 0, 1 or 2.
 
 Inputs are a small self-contained process spec with one JSON node replaced
-by a value of another type, and table blobs with truncations, byte flips and
-overwritten fields. A malformed input must end in a typed error (exit 2),
-never in a traceback.
+by a value of another type, table blobs with truncations, byte flips and
+overwritten fields, and ntdll dumps with byte flips, truncations, repeated
+export names and function addresses moved past the extent. A malformed input
+must end in a typed error (exit 2), never in a traceback.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from hookscope import BASE_FUNCTIONS, SsnSearchParams, build_syscall_list, serialize_list
 from hookscope.cli import main
+from hookscope.fixtures import GarbageHook, JmpRel32Hook, NtdllSpec, build_synthetic_ntdll
 from hookscope.procspec import load_process_spec
 
-from conftest import KERNELBASE_BASE, NTDLL_BASE, STUB_BASE, TABLE_VA
+from conftest import KERNELBASE_BASE, NTDLL_BASE, STUB_BASE, TABLE_VA, edit_exports
 
 ADVAPI32_BASE = 0x00007FFEAF000000
 FUNCTIONS = sorted(BASE_FUNCTIONS + ("ZwClose", "ZwQuerySystemInformation"))
@@ -183,4 +185,60 @@ def test_mutated_table_blob_exits_cleanly(corpus, data):
     fmt = data.draw(st.sampled_from(["json", "text"]), label="format")
     args = ["simulate", str(spec), "--table", str(table), "--force", "kernelbase"]
     args += ["--target", "advapi32", "--format", fmt]
+    _assert_clean_exit(CliRunner().invoke(main, args))
+
+
+@pytest.fixture(scope="module")
+def ntdll_dump(tmp_path_factory):
+    """The smoke spec's ntdll, with both spellings of every name, and a work directory."""
+    spec = NtdllSpec(
+        functions=tuple((name, i) for i, name in enumerate(FUNCTIONS)),
+        hooks={"ZwClose": JmpRel32Hook(0x150000), "ZwDelayExecution": GarbageHook()},
+        alias_both_prefixes=True,
+    )
+    image = build_synthetic_ntdll(spec, image_base=NTDLL_BASE, seed=3)
+    return image, tmp_path_factory.mktemp("dumps")
+
+
+@st.composite
+def mutated_dumps(draw, image) -> bytes:
+    kind = draw(st.sampled_from(["flip", "truncate", "repeat-name", "past-extent"]))
+    data = image.data
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "repeat-name":
+        index = st.integers(0, 2 * len(FUNCTIONS) - 1)
+        return edit_exports(image, names=draw(st.dictionaries(index, index, min_size=1)))
+    if kind == "past-extent":
+        delta = st.integers(-8, 0x200).map(lambda d: len(data) + d)
+        slots = st.dictionaries(st.integers(0, len(FUNCTIONS) - 1), delta, min_size=1)
+        return edit_exports(image, functions=draw(slots))
+    # Headers, stubs and the export directory; the rest is zero padding.
+    regions = [(0, 0x3FF)]
+    regions += [(s.virtual_rva, s.virtual_rva + s.virtual_size - 1) for s in image.sections]
+    position = st.one_of(*(st.integers(lo, hi) for lo, hi in regions))
+    out = bytearray(data)
+    for pos in draw(st.lists(position, min_size=1, max_size=8)):
+        out[pos] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+DUMP_COMMANDS = (
+    ["ssn", "{dump}", "--method", "prologue"],
+    ["ssn", "{dump}", "--method", "halos"],
+    ["ssn", "{dump}", "--method", "sort"],
+    ["table", "{dump}", "--out", "{table}"],
+)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_mutated_dump_exits_cleanly(ntdll_dump, data):
+    image, root = ntdll_dump
+    dump = root / "ntdll.bin"
+    dump.write_bytes(data.draw(mutated_dumps(image), label="dump"))
+    command = data.draw(st.sampled_from(DUMP_COMMANDS), label="command")
+    fmt = data.draw(st.sampled_from(["json", "text"]), label="format")
+    args = [arg.format(dump=dump, table=root / "table.bin") for arg in command]
+    args += ["--base", f"{NTDLL_BASE:x}", "--format", fmt]
     _assert_clean_exit(CliRunner().invoke(main, args))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import struct
 
 import pytest
@@ -209,6 +210,15 @@ class TestIatScan:
         process = make_scenario_process()
         results = scan_iat_hooks(process)
         assert results["kernelbase"] == []
+
+    def test_unexported_names_log_one_summary_per_module(self, caplog):
+        extra = (("ntdll.dll", "NtMissingOne"), ("ntdll.dll", "ZwMissingTwo"))
+        process = make_scenario_process(extra_imports=extra)
+        with caplog.at_level(logging.WARNING, logger="hookscope.hooks"):
+            results = scan_iat_hooks(process)
+        assert results["kernelbase"] == []
+        [record] = caplog.records
+        assert record.args == ("kernelbase", 2, "NtMissingOne")
 
 
 class TestRenderReport:

@@ -1,0 +1,152 @@
+"""One stub reader: `read_stubs` and the three commands that read it.
+
+`scan`, `ssn` and `table` take their hooked stubs from `ssn.read_stubs`, so
+they agree on which addresses are stubs, also on images with a repeated
+export name or an export whose prologue runs past the extent.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+import hookscope.ssn
+from hookscope import BASE_FUNCTIONS, SsnSearchParams, enumerate_exports, read_clean_ssn
+from hookscope.cli import main
+from hookscope.fixtures import GarbageHook, JmpRel32Hook, NtdllSpec, build_synthetic_ntdll
+from hookscope.image import Layout, parse_image
+from hookscope.ssn import read_stubs, resolve_ssns
+
+from conftest import NTDLL_BASE, edit_exports, positioned_functions
+
+PROBE_FUNCTIONS = positioned_functions(36, dict(zip(range(10, 16), BASE_FUNCTIONS)))
+PROBE_NAMES = sorted(name for name, _ in PROBE_FUNCTIONS)
+
+
+def probe_ntdll(hooks=()):
+    spec = NtdllSpec(
+        functions=PROBE_FUNCTIONS, hooks={name: JmpRel32Hook(0x150000) for name in hooks}
+    )
+    return build_synthetic_ntdll(spec, image_base=NTDLL_BASE)
+
+
+def repeated_name_dump() -> bytes:
+    """Two name entries read ZwFiller0005; the first of them is at a hooked stub."""
+    image = probe_ntdll(hooks=("ZwFiller0003",))
+    renamed = {PROBE_NAMES.index("ZwFiller0003"): PROBE_NAMES.index("ZwFiller0005")}
+    return edit_exports(image, names=renamed)
+
+
+def past_extent_dump(delta: int) -> bytes:
+    """ZwFiller0007's function slot moved to `delta` bytes from the extent."""
+    image = probe_ntdll()
+    return edit_exports(image, functions={7: image.extent + delta})
+
+
+def loaded(data: bytes):
+    return parse_image(data, Layout.LOADED, NTDLL_BASE)
+
+
+def reference_stubs(image) -> dict:
+    """Per named Nt/Zw export from a fresh export walk, its prologue read on its own."""
+    stubs = {}
+    for name, _, rva, forwarded_to in enumerate_exports(image):
+        if name and name.startswith(("Nt", "Zw")) and forwarded_to is None:
+            if rva + 8 <= image.extent:
+                stubs[rva] = read_clean_ssn(image.data[rva : rva + 8])
+    return stubs
+
+
+@st.composite
+def edited_images(draw):
+    count = draw(st.integers(4, 24))
+    names = [f"ZwStub{i:02d}" for i in range(count)]
+    hooked = draw(st.sets(st.sampled_from(names), max_size=count))
+    hook = draw(st.sampled_from([JmpRel32Hook(0x150000), GarbageHook()]))
+    aliases = draw(st.booleans())
+    spec = NtdllSpec(
+        functions=tuple((name, i) for i, name in enumerate(names)),
+        hooks={name: hook for name in hooked},
+        alias_both_prefixes=aliases,
+    )
+    image = build_synthetic_ntdll(spec, image_base=NTDLL_BASE, seed=draw(st.integers(0, 9)))
+    name_count = count * (2 if aliases else 1)
+    index = st.integers(0, name_count - 1)
+    repeated = draw(st.dictionaries(index, index, max_size=4))
+    moved = draw(
+        st.dictionaries(
+            st.integers(0, count - 1),
+            st.integers(-12, 0x100).map(lambda d: image.extent + d),
+            max_size=3,
+        )
+    )
+    return loaded(edit_exports(image, names=repeated, functions=moved))
+
+
+class TestReadStubs:
+    @given(image=edited_images())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_matches_per_name_reads(self, image):
+        assert read_stubs(image) == reference_stubs(image)
+
+    def test_hooked_stub_maps_to_none(self):
+        image = probe_ntdll(hooks=("ZwFiller0003",))
+        stubs = read_stubs(image)
+        assert len(stubs) == 36
+        assert [rva for rva, ssn in stubs.items() if ssn is None] == [0x1000 + 3 * 32]
+
+    def test_past_extent_exports_log_one_summary(self, caplog):
+        image = probe_ntdll()
+        moved = {7: image.extent - 4, 8: image.extent + 0x100}
+        with caplog.at_level(logging.WARNING, logger="hookscope.ssn"):
+            stubs = read_stubs(loaded(edit_exports(image, functions=moved)))
+        assert len(stubs) == 34
+        [record] = caplog.records
+        assert record.args == (2, "ZwFiller0007")
+
+
+class TestResolveSsns:
+    def test_halos_derives_only_hooked_stubs(self, monkeypatch):
+        hooked = ("ZwFiller0003", "ZwFiller0020")
+        image = probe_ntdll(hooks=hooked)
+        calls = []
+        derive = hookscope.ssn.derive_ssn_neighbors
+
+        def spy(ntdll, entry_va, params):
+            calls.append(entry_va - ntdll.image_base)
+            return derive(ntdll, entry_va, params)
+
+        monkeypatch.setattr(hookscope.ssn, "derive_ssn_neighbors", spy)
+        mapping, derived = resolve_ssns(image, "halos", SsnSearchParams())
+        assert sorted(calls) == [0x1000 + 3 * 32, 0x1000 + 20 * 32]
+        assert derived == list(hooked)
+        assert mapping == dict(PROBE_FUNCTIONS)
+
+
+@pytest.mark.parametrize(
+    "dump, scan_exit",
+    [
+        pytest.param(repeated_name_dump, 1, id="repeated-name"),
+        pytest.param(lambda: past_extent_dump(-4), 0, id="extent-minus-4"),
+        pytest.param(lambda: past_extent_dump(0x100), 0, id="extent-plus-0x100"),
+    ],
+)
+def test_scan_table_and_halos_agree(tmp_path, dump, scan_exit):
+    path = tmp_path / "ntdll.bin"
+    path.write_bytes(dump())
+    common = [str(path), "--base", f"{NTDLL_BASE:x}", "--format", "json"]
+    runner = CliRunner()
+    scan = runner.invoke(main, ["scan", *common])
+    table = runner.invoke(main, ["table", *common, "--out", str(tmp_path / "t.bin")])
+    ssn = runner.invoke(main, ["ssn", *common, "--method", "halos"])
+    assert (scan.exit_code, table.exit_code, ssn.exit_code) == (scan_exit, 0, 0), (
+        scan.output + table.output + ssn.output
+    )
+    hooked = {(f["function"], f["expected_va"]) for f in json.loads(scan.stdout)["ntdll"]}
+    rows = json.loads(table.stdout)["entries"]
+    assert {(r["name"], r["address"]) for r in rows if r["name"] not in BASE_FUNCTIONS} == hooked
+    assert set(json.loads(ssn.stdout)["derived"]) == {name for name, _ in hooked}
