@@ -15,7 +15,7 @@ import click
 
 from . import __version__
 from .errors import HookscopeError
-from .hooks import ReportFormat, build_report, render_report
+from .hooks import build_report, render_report
 from .image import Layout, parse_image
 from .procspec import load_process_spec
 from .simulate import render_calls, simulate_rewrite
@@ -132,7 +132,7 @@ def scan(input: str, layout: str, base: str | None, fmt: str) -> tuple[str, int]
             output += "\n"
     else:
         report = build_report(ntdll=_load_image(input, layout, base))
-    output += render_report(report, ReportFormat(fmt)).decode()
+    output += render_report(report, fmt == "json")
     findings = bool(report.ntdll_findings) or any(report.per_module.values())
     return output, EXIT_FINDINGS if findings else EXIT_CLEAN
 

@@ -408,23 +408,18 @@ def build_synthetic_module(
 def build_process_model(
     ntdll: PeImage,
     modules: Sequence[tuple[str, PeImage]],
-    bases: Sequence[int],
     config: RewriteConfig,
+    ntdll_name: str = "ntdll",
 ) -> ProcessModel:
-    """Assemble a process model from generated images.
+    """Assemble a process model, ntdll first, from named images.
 
-    Each base must match the image it hosts (the images bake absolute
-    addresses at generation time), and module ranges must not overlap.
+    Each module sits at its image's base (the images bake absolute addresses
+    at generation time); module ranges must not overlap.
     """
-    if len(modules) != len(bases):
-        raise SpecInvalid("modules and bases differ in length")
-    entries = [ModuleEntry("ntdll", ntdll.image_base, ntdll)]
-    for (name, img), base in zip(modules, bases):
-        if base != img.image_base:
-            raise SpecInvalid(f"module {name!r} generated at {img.image_base:#x}, not {base:#x}")
-        entries.append(ModuleEntry(name, base, img))
+    entries = [ModuleEntry(ntdll_name, ntdll)]
+    entries += [ModuleEntry(name, image) for name, image in modules]
     spans = sorted((e.base, e.base + e.image.extent, e.name) for e in entries)
     for (s1, e1, n1), (s2, e2, n2) in zip(spans, spans[1:]):
         if s2 < e1:
             raise OverlappingRanges(f"modules {n1!r} and {n2!r} overlap")
-    return ProcessModel(modules=tuple(entries), ntdll_index=0, config=config)
+    return ProcessModel(modules=tuple(entries), config=config)

@@ -109,9 +109,7 @@ def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
     index = ntdll.image.native_exports
 
     results: dict[str, list[HookFinding]] = {}
-    for i, module in enumerate(process.modules):
-        if i == process.ntdll_index:
-            continue
+    for module in process.modules[1:]:
         descriptors = ntdll_descriptors(module.image, ntdll.name)
         if not descriptors:
             continue
@@ -176,14 +174,9 @@ def _finding_from_json(record: dict) -> HookFinding:
     )
 
 
-class ReportFormat(Enum):
-    TEXT = "text"
-    JSON = "json"
-
-
-def render_report(report: ScanReport, format: ReportFormat) -> bytes:
-    """Render a scan report; text mode mirrors the familiar listing shape."""
-    if format is ReportFormat.JSON:
+def render_report(report: ScanReport, as_json: bool) -> str:
+    """Render a scan report as JSON, or as text in the familiar listing shape."""
+    if as_json:
         doc = {
             "ntdll": [finding_to_json(f) for f in report.ntdll_findings],
             "modules": {
@@ -192,7 +185,7 @@ def render_report(report: ScanReport, format: ReportFormat) -> bytes:
             },
             "mapped": report.mapped_function_count,
         }
-        return (json.dumps(doc) + "\n").encode()
+        return json.dumps(doc) + "\n"
 
     lines = ["[+] Listing ntdll Nt/Zw functions", "-----"]
     for f in report.ntdll_findings:
@@ -210,10 +203,10 @@ def render_report(report: ScanReport, format: ReportFormat) -> bytes:
             )
         lines.append(f"+-- {len(findings)} hooked functions.")
         lines.append("")
-    return ("\n".join(lines).rstrip("\n") + "\n").encode()
+    return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def parse_report(data: bytes) -> ScanReport:
+def parse_report(data: str) -> ScanReport:
     """Inverse of the JSON rendering, for round-trip checks."""
     doc = json.loads(data)
     return ScanReport(

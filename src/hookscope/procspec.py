@@ -7,8 +7,8 @@ Schema:
         or {"name": str, "base": "0x...", "inline_fixture": {...}}
       ],
       "ntdll": str,          # name of the module that plays ntdll
-      "config": {"stub_base": "0x...", "table_va": "0x..."},
-      "seed": int            # optional; HOOKSCOPE_SEED used when absent
+      "config": {"stub_base": "0x..."},
+      "seed": int            # optional, default 0; seeds garbage-hook bytes
     }
 
 Inline fixtures make a spec fully self-contained:
@@ -21,15 +21,13 @@ Inline fixtures make a spec fully self-contained:
                   "tamper": {"NtFoo": "0x..."}}
 
 A key or value of the wrong JSON type, or an address outside 64 bits, is a
-`SpecInvalid` error.
+`SpecInvalid` error. Other keys, in the spec or in its config, are ignored.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
-import os
 from pathlib import Path
 from typing import Any, Mapping, Union
 
@@ -47,8 +45,6 @@ from .fixtures import (
 from .image import Layout, PeImage, _is_native_name, enumerate_exports, parse_image
 from .simulate import ProcessModel, normalize_module_name
 from .table import RewriteConfig
-
-SEED_ENV_VAR = "HOOKSCOPE_SEED"
 
 
 def _to_int(value: Union[int, str], what: str) -> int:
@@ -123,15 +119,7 @@ def module_spec_from_json(name: str, doc: Mapping[str, Any]) -> ModuleSpec:
     return ModuleSpec(name=name, imports=imports, tamper=tamper)
 
 
-def default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise SpecInvalid(f"{SEED_ENV_VAR}={raw!r} is not an integer")
-
-
-def load_process_spec(path: Union[str, Path], seed: int | None = None) -> ProcessModel:
+def load_process_spec(path: Union[str, Path]) -> ProcessModel:
     """Materialize a process model from a spec file.
 
     Module images come from raw dump files (path form) or are generated on
@@ -147,14 +135,9 @@ def load_process_spec(path: Union[str, Path], seed: int | None = None) -> Proces
     if not isinstance(doc, dict) or "modules" not in doc or "ntdll" not in doc:
         raise SpecInvalid("process spec needs 'modules' and 'ntdll' keys")
 
-    if seed is None:
-        seed = _to_int(doc["seed"], "seed") if "seed" in doc else default_seed()
-
+    seed = _to_int(doc.get("seed", 0), "seed")
     config_doc = _object(doc.get("config", {}), "config")
-    config = RewriteConfig(
-        stub_base=_to_address(config_doc.get("stub_base", 0), "stub_base"),
-        table_va=_to_address(config_doc.get("table_va", 0), "table_va"),
-    )
+    config = RewriteConfig(stub_base=_to_address(config_doc.get("stub_base", 0), "stub_base"))
 
     ntdll_name = doc["ntdll"]
     if not isinstance(ntdll_name, str):
@@ -228,18 +211,6 @@ def load_process_spec(path: Union[str, Path], seed: int | None = None) -> Proces
                 return ntdll_image.image_base + rva
         raise UnresolvedImport(f"{ntdll_name} does not export {fn!r}")
 
-    modules: list[tuple[str, PeImage]] = []
-    bases: list[int] = []
-    for m in module_docs:
-        if m is ntdll_doc:
-            continue
-        image = materialize(m)
-        modules.append((m["name"], image))
-        bases.append(image.image_base)
-
-    model = build_process_model(ntdll_image, modules, bases, config)
-    if normalize_module_name(ntdll_name) != "ntdll":
-        entries = list(model.modules)
-        entries[0] = dataclasses.replace(entries[0], name=ntdll_doc["name"])
-        model = ProcessModel(modules=tuple(entries), ntdll_index=0, config=config)
-    return model
+    modules = [(m["name"], materialize(m)) for m in module_docs if m is not ntdll_doc]
+    shown = "ntdll" if normalize_module_name(ntdll_name) == "ntdll" else ntdll_doc["name"]
+    return build_process_model(ntdll_image, modules, config, ntdll_name=shown)

@@ -48,24 +48,28 @@ def normalize_module_name(name: str) -> str:
 
 @dataclass(frozen=True)
 class ModuleEntry:
+    """A loaded module under its shown name; it sits at its image's base."""
+
     name: str
-    base: int
     image: PeImage
+
+    @property
+    def base(self) -> int:
+        return self.image.image_base
 
 
 @dataclass(frozen=True)
 class ProcessModel:
-    """Ordered loaded modules plus the dispatch configuration. A value: apply
-    operations return new models rather than mutating shared state."""
+    """Ordered loaded modules, ntdll first, plus the dispatch configuration. A
+    value: apply operations return new models rather than mutating shared state."""
 
     modules: tuple[ModuleEntry, ...]
-    ntdll_index: Optional[int]
     config: RewriteConfig
 
     def ntdll(self) -> ModuleEntry:
-        if self.ntdll_index is None or not 0 <= self.ntdll_index < len(self.modules):
+        if not self.modules:
             raise MissingNtdll("process model carries no ntdll image")
-        return self.modules[self.ntdll_index]
+        return self.modules[0]
 
     @functools.cached_property
     def _index_by_name(self) -> dict[str, int]:

@@ -161,7 +161,9 @@ def resolve_ssns(
     either layout. `prologue` reads each stub's prologue and leaves hooked
     stubs out; `halos` falls back to stride neighbours for those and lists
     them, in name order, as derived. Both read stubs, so they need a loaded
-    image. Each address is reported under its Zw-preferred spelling.
+    image. Each address is reported under its Zw-preferred spelling; a name
+    held by several addresses takes its number, and its derived mark, from
+    the first of them in the name table.
     """
     if method == "sort":
         return derive_ssn_by_sort(ntdll), []
@@ -169,10 +171,14 @@ def resolve_ssns(
         raise ValueError(f"unknown resolution method {method!r}")
     stubs = read_stubs(ntdll)
     canonical = ntdll.native_exports.canonical_by_rva
+    first: dict[str, int] = {}
+    for name, rva in ntdll.native_exports.named:
+        if rva in stubs and canonical[rva] == name:
+            first.setdefault(name, rva)
     mapping: dict[str, int] = {}
     derived: list[str] = []
-    for rva, ssn in sorted(stubs.items(), key=lambda kv: canonical[kv[0]]):
-        name = canonical[rva]
+    for name, rva in sorted(first.items()):
+        ssn = stubs[rva]
         if ssn is None:
             if method == "prologue":
                 continue

@@ -70,10 +70,9 @@ class SyscallList:
 
 @dataclass(frozen=True)
 class RewriteConfig:
-    """Dispatch-side addresses: stub slot base and table location (sizes are fixed)."""
+    """Dispatch-side address of the first interception slot (sizes are fixed)."""
 
     stub_base: int
-    table_va: int = 0
 
     def stub_slot(self, index: int) -> int:
         """Address of the interception slot that dispatches table entry `index`."""

@@ -26,6 +26,7 @@ from hookscope.fixtures import (
 NTDLL_BASE = 0x00007FFEB24F0000
 KERNELBASE_BASE = 0x00007FFEAFBD0000
 STUB_BASE = 0x00007FF7BE5D7C1C
+# A table address that older specs carry in "config"; loading ignores it.
 TABLE_VA = 0x00007FF7BE63DD30
 SCENARIO_BASE_RVA = 0x9CFC0
 
@@ -104,8 +105,8 @@ def make_scenario_process(ntdll=None, extra_imports=(), tamper=None):
     spec = ModuleSpec(name="kernelbase", imports=imports, tamper=tamper or {})
     resolver = {(dll, fn): resolve(fn) for dll, fn in imports}
     kernelbase = build_synthetic_module(spec, resolver, image_base=KERNELBASE_BASE)
-    config = RewriteConfig(stub_base=STUB_BASE, table_va=TABLE_VA)
-    return build_process_model(ntdll, [("kernelbase", kernelbase)], [KERNELBASE_BASE], config)
+    config = RewriteConfig(stub_base=STUB_BASE)
+    return build_process_model(ntdll, [("kernelbase", kernelbase)], config)
 
 
 @pytest.fixture(scope="session")

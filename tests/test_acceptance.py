@@ -204,7 +204,7 @@ def test_criterion_08_iat_scan_counts(scenario_ntdll):
         image_base=0x00007FFEAC000000,
     )
     model = build_process_model(
-        scenario_ntdll, [("kernel32", hooked_module)], [0x00007FFEAC000000], config
+        scenario_ntdll, [("kernel32", hooked_module)], config
     )
     assert len(scan_iat_hooks(model)["kernel32"]) == 81
 
@@ -212,7 +212,7 @@ def test_criterion_08_iat_scan_counts(scenario_ntdll):
         ModuleSpec(name="kernel32", imports=imports), resolver, image_base=0x00007FFEAC000000
     )
     clean_model = build_process_model(
-        scenario_ntdll, [("kernel32", clean_module)], [0x00007FFEAC000000], config
+        scenario_ntdll, [("kernel32", clean_module)], config
     )
     counts = {name: len(f) for name, f in scan_iat_hooks(clean_model).items()}
     assert counts == {"kernel32": 0}
@@ -268,7 +268,6 @@ def test_criterion_09_rewrite_closure(clean_478_ntdll):
         model = build_process_model(
             clean_478_ntdll,
             [("mod", module)],
-            [0x00007FFE30000000],
             RewriteConfig(stub_base=0x00007FF7AA000000),
         )
         plan = plan_rewrite(model, SyscallList(entries=(), base_indices=(0,) * 6), [("mod", True)])

@@ -145,7 +145,7 @@ def scenario_files(tmp_path, scenario_process):
     doc = {
         "modules": modules,
         "ntdll": "ntdll",
-        "config": {"stub_base": hex(config.stub_base), "table_va": hex(config.table_va)},
+        "config": {"stub_base": hex(config.stub_base)},
     }
     inline_dir = tmp_path / "inline"
     inline_dir.mkdir()
@@ -261,6 +261,41 @@ class TestProcessSpecLoading:
         model = load_process_spec(write_spec(tmp_path, doc))
         assert model.ntdll().image.data == image.data
 
+    @pytest.mark.parametrize(
+        "spec_name, ntdll_key, shown",
+        [("NTDLL.DLL", "ntdll.dll", "ntdll"), ("SysLib.dll", "syslib", "SysLib.dll")],
+    )
+    def test_ntdll_shown_name(self, tmp_path, spec_name, ntdll_key, shown):
+        # A spec module that names ntdll is shown as "ntdll"; any other keeps its own name.
+        image = build_synthetic_ntdll(
+            NtdllSpec(functions=positioned_functions(8)), image_base=NTDLL_BASE
+        )
+        (tmp_path / "lib.dump").write_bytes(image.data)
+        doc = {
+            "modules": [{"name": spec_name, "base": f"0x{NTDLL_BASE:x}", "path": "lib.dump"}],
+            "ntdll": ntdll_key,
+        }
+        model = load_process_spec(write_spec(tmp_path, doc))
+        assert [entry.name for entry in model.modules] == [shown]
+        assert model.ntdll().base == NTDLL_BASE
+
+    @pytest.mark.parametrize(
+        "args",
+        [["scan", "--format", "json"], ["simulate", "--force", "kernelbase", "--format", "json"]],
+    )
+    def test_table_va_key_is_ignored(self, runner, tmp_path, args):
+        with_key = scenario_spec_doc()
+        without_key = scenario_spec_doc()
+        del without_key["config"]["table_va"]
+        outputs = []
+        for name, doc in (("with", with_key), ("without", without_key)):
+            (tmp_path / name).mkdir()
+            path = write_spec(tmp_path / name, doc)
+            result = runner.invoke(main, [args[0], str(path), *args[1:]])
+            outputs.append((result.exit_code, result.stdout))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 1), outputs[0][1]
+
     def test_unknown_import_rejected(self, tmp_path):
         doc = scenario_spec_doc(imports=[["ntdll.dll", "NtDoesNotExist"]])
         with pytest.raises(UnresolvedImport):
@@ -276,20 +311,20 @@ class TestProcessSpecLoading:
         with pytest.raises(SpecInvalid):
             load_process_spec(write_spec(tmp_path, {"modules": []}))
 
-    def test_seed_env_var_controls_garbage_bytes(self, tmp_path, monkeypatch):
+    def test_seed_key_controls_garbage_bytes(self, tmp_path):
         doc = scenario_spec_doc()
         doc["modules"][0]["inline_fixture"]["hooks"] = {
             "ZwCreateUserProcess": {"kind": "garbage"}
         }
-        path = write_spec(tmp_path, doc)
-        monkeypatch.setenv("HOOKSCOPE_SEED", "1")
-        a = load_process_spec(path).ntdll().image.data
-        monkeypatch.setenv("HOOKSCOPE_SEED", "2")
-        b = load_process_spec(path).ntdll().image.data
-        monkeypatch.setenv("HOOKSCOPE_SEED", "1")
-        c = load_process_spec(path).ntdll().image.data
+
+        def ntdll_bytes(**seed) -> bytes:
+            path = write_spec(tmp_path, {**doc, **seed})
+            return load_process_spec(path).ntdll().image.data
+
+        a, b, c = ntdll_bytes(seed=1), ntdll_bytes(seed=2), ntdll_bytes(seed=1)
         assert a != b
         assert a == c
+        assert ntdll_bytes() == ntdll_bytes(seed=0)
 
 
 def _module(doc, i, **fields):
@@ -747,7 +782,7 @@ class TestSimulateCommand:
 
         def drop_targets(process, plan):
             ntdll = apply(process, plan).ntdll()
-            return dataclasses.replace(process, modules=(ntdll,), ntdll_index=0)
+            return dataclasses.replace(process, modules=(ntdll,))
 
         monkeypatch.setattr(hookscope.simulate, "apply_rewrite", drop_targets)
         result = runner.invoke(main, ["simulate", str(path), "--target", "kernelbase"])

@@ -2,9 +2,10 @@
 
 Inputs are a small self-contained process spec with one JSON node replaced
 by a value of another type, table blobs with truncations, byte flips and
-overwritten fields, and ntdll dumps with byte flips, truncations, repeated
-export names and function addresses moved past the extent. A malformed input
-must end in a typed error (exit 2), never in a traceback.
+overwritten fields, ntdll dumps with byte flips, truncations, repeated export
+names and function addresses moved past the extent, and process specs whose
+module dump files are truncated or carry byte flips. A malformed input must
+end in a typed error (exit 2), never in a traceback.
 """
 
 from __future__ import annotations
@@ -201,8 +202,8 @@ def ntdll_dump(tmp_path_factory):
 
 
 @st.composite
-def mutated_dumps(draw, image) -> bytes:
-    kind = draw(st.sampled_from(["flip", "truncate", "repeat-name", "past-extent"]))
+def mutated_dumps(draw, image, kinds=("flip", "truncate", "repeat-name", "past-extent")) -> bytes:
+    kind = draw(st.sampled_from(kinds))
     data = image.data
     if kind == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
@@ -241,4 +242,46 @@ def test_mutated_dump_exits_cleanly(ntdll_dump, data):
     fmt = data.draw(st.sampled_from(["json", "text"]), label="format")
     args = [arg.format(dump=dump, table=root / "table.bin") for arg in command]
     args += ["--base", f"{NTDLL_BASE:x}", "--format", fmt]
+    _assert_clean_exit(CliRunner().invoke(main, args))
+
+
+@pytest.fixture(scope="module")
+def module_dumps(corpus):
+    """The smoke process with every module read from a dump file: the spec,
+    each module's image by file name, and the directory holding them."""
+    root, _, _ = corpus
+    process = load_process_spec(root / "inline.json")
+    work = root / "modules"
+    work.mkdir()
+    images = {f"{entry.name}.bin": entry.image for entry in process.modules}
+    modules = [
+        {"name": entry.name, "base": f"0x{entry.base:x}", "path": f"{entry.name}.bin"}
+        for entry in process.modules
+    ]
+    spec = work / "spec.json"
+    doc = {"modules": modules, "ntdll": "ntdll", "config": {"stub_base": f"0x{STUB_BASE:x}"}}
+    spec.write_text(json.dumps(doc))
+    return spec, images
+
+
+MODULE_DUMP_COMMANDS = (
+    ["scan", "{spec}"],
+    ["simulate", "{spec}", "--force", "kernelbase", "--target", "advapi32"],
+    ["simulate", "{spec}", "--force", "advapi32", "--force", "kernelbase"],
+)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_mutated_module_dump_exits_cleanly(module_dumps, data):
+    spec, images = module_dumps
+    mutated = data.draw(st.sampled_from(sorted(images)), label="module")
+    for name, image in images.items():
+        dump = image.data
+        if name == mutated:
+            dump = data.draw(mutated_dumps(image, kinds=("flip", "truncate")), label="dump")
+        (spec.parent / name).write_bytes(dump)
+    command = data.draw(st.sampled_from(MODULE_DUMP_COMMANDS), label="command")
+    fmt = data.draw(st.sampled_from(["json", "text"]), label="format")
+    args = [arg.format(spec=spec) for arg in command] + ["--format", fmt]
     _assert_clean_exit(CliRunner().invoke(main, args))

@@ -171,7 +171,6 @@ class TestProcessModelBuilder:
         model = build_process_model(
             scenario_ntdll,
             [("kernel32", m1), ("kernelbase", m2)],
-            [0x7FFE00100000, 0x7FFE00200000],
             RewriteConfig(stub_base=0x7FF700000000),
         )
         assert len(model.modules) == 3
@@ -186,22 +185,6 @@ class TestProcessModelBuilder:
             build_process_model(
                 scenario_ntdll,
                 [("a", m1), ("b", m2)],
-                [0x7FFE00100000, 0x7FFE00100800],
-                RewriteConfig(stub_base=0x7FF700000000),
-            )
-
-    def test_base_must_match_generated_image(self, scenario_ntdll):
-        resolver = {("ntdll.dll", "NtA"): scenario_ntdll.image_base + 0x1000}
-        m1 = build_synthetic_module(
-            ModuleSpec(name="x", imports=(("ntdll.dll", "NtA"),)),
-            resolver,
-            image_base=0x7FFE00100000,
-        )
-        with pytest.raises(SpecInvalid):
-            build_process_model(
-                scenario_ntdll,
-                [("a", m1)],
-                [0x7FFE00900000],
                 RewriteConfig(stub_base=0x7FF700000000),
             )
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hookscope import (
-    ReportFormat,
     ScanReport,
     build_report,
     render_report,
@@ -138,7 +137,6 @@ class TestIatScan:
         model = build_process_model(
             scenario_ntdll,
             [("kernel32", kernel32)],
-            [0x00007FFEAC000000],
             RewriteConfig(stub_base=0x7FF700000000),
         )
         results = scan_iat_hooks(model)
@@ -168,7 +166,6 @@ class TestIatScan:
         model = build_process_model(
             ntdll,
             [("kernel32", kernel32)],
-            [0x00007FFEAC000000],
             RewriteConfig(stub_base=0x7FF700000000),
         )
         [finding] = scan_iat_hooks(model)["kernel32"]
@@ -191,17 +188,12 @@ class TestIatScan:
         model = build_process_model(
             scenario_ntdll,
             [("rtluser", rtluser)],
-            [0x00007FFEAC000000],
             RewriteConfig(stub_base=0x7FF700000000),
         )
         assert scan_iat_hooks(model) == {"rtluser": []}
 
     def test_missing_ntdll(self, scenario_process):
-        broken = ProcessModel(
-            modules=scenario_process.modules,
-            ntdll_index=None,
-            config=scenario_process.config,
-        )
+        broken = ProcessModel(modules=(), config=scenario_process.config)
         with pytest.raises(MissingNtdll):
             scan_iat_hooks(broken)
 
@@ -230,25 +222,25 @@ class TestRenderReport:
             )
         )
         report = build_report(ntdll=image)
-        text = render_report(report, ReportFormat.TEXT).decode()
+        text = render_report(report, False)
         assert "NtWriteFile is hooked" in text
         assert "Mapped 2 functions" in text
 
     def test_empty_report_text(self):
         report = ScanReport(ntdll_findings=(), per_module={}, mapped_function_count=0)
-        text = render_report(report, ReportFormat.TEXT).decode()
+        text = render_report(report, False)
         assert "Mapped 0 functions" in text
 
     def test_per_module_sections(self, scenario_process):
         report = build_report(process=scenario_process)
-        text = render_report(report, ReportFormat.TEXT).decode()
+        text = render_report(report, False)
         assert "Checking ntdll.dll at kernelbase IAT" in text
         assert "+-- 0 hooked functions." in text
 
     def test_tampered_module_line_format(self):
         process = make_scenario_process(tamper={"NtOpenProcess": 0x00007FF9E132D610})
         report = build_report(process=process)
-        text = render_report(report, ReportFormat.TEXT).decode()
+        text = render_report(report, False)
         assert (
             "|-- kernelbase IAT to ntdll.dll of function NtOpenProcess "
             "is hooked to 0x00007ff9e132d610" in text
@@ -260,7 +252,7 @@ class TestRenderReport:
         hooks = {"NtA": GarbageHook(), "NtB": GarbageHook(), "NtC": JmpRel32Hook(0x8000)}
         image = build_synthetic_ntdll(NtdllSpec(functions=functions, hooks=hooks))
         report = build_report(ntdll=image)
-        blob = render_report(report, ReportFormat.JSON)
+        blob = render_report(report, True)
         doc = json.loads(blob)
         assert len(doc["ntdll"]) == 3
         assert set(doc["ntdll"][0]) == {
@@ -287,7 +279,7 @@ class TestRenderReport:
         report = ScanReport(
             ntdll_findings=(), per_module={"m": (finding,)}, mapped_function_count=1
         )
-        doc = json.loads(render_report(report, ReportFormat.JSON))
+        doc = json.loads(render_report(report, True))
         record = doc["modules"]["m"][0]
         assert record["expected_va"] == "0x0000000000000abc"
         assert record["observed_va"] == "0x00007ff9e132d610"

@@ -121,7 +121,6 @@ class TestPlanRewrite:
         model = build_process_model(
             scenario_ntdll,
             [("rtluser", module)],
-            [0x00007FFEAD000000],
             RewriteConfig(stub_base=STUB_BASE),
         )
         table = assign_stub_slots(build_syscall_list(scenario_ntdll, PARAMS), model.config)
@@ -145,7 +144,6 @@ class TestPlanRewrite:
         model = build_process_model(
             scenario_ntdll,
             [("preloaded", module)],
-            [0x00007FFEAD000000],
             RewriteConfig(stub_base=STUB_BASE),
         )
         table = assign_stub_slots(build_syscall_list(scenario_ntdll, PARAMS), model.config)
@@ -175,7 +173,6 @@ class TestPlanRewrite:
         model = build_process_model(
             scenario_ntdll,
             [("preloaded", module)],
-            [0x00007FFEAD000000],
             RewriteConfig(stub_base=STUB_BASE),
         )
         full = SyscallList(
@@ -286,7 +283,7 @@ def rewritten_kernel32_first(ntdll):
         image_base=KERNELBASE_BASE,
     )
     process = build_process_model(
-        ntdll, [("caller", module)], [KERNELBASE_BASE], RewriteConfig(stub_base=STUB_BASE)
+        ntdll, [("caller", module)], RewriteConfig(stub_base=STUB_BASE)
     )
     table = assign_stub_slots(build_syscall_list(ntdll, PARAMS), process.config)
     plan = plan_rewrite(process, table, [("caller", False)])
@@ -480,7 +477,7 @@ class TestRewriteClosure:
             config = RewriteConfig(stub_base=0x00007FF7AA000000)
             # the clean image has no base six; hand-build a table via force
             model = build_process_model(
-                ntdll, [("mod", module)], [0x00007FFE30000000], config
+                ntdll, [("mod", module)], config
             )
             empty = SyscallList(entries=(), base_indices=(0,) * 6)
             plan = plan_rewrite(model, empty, [("mod", True)])
@@ -533,7 +530,6 @@ def three_module_process():
     return build_process_model(
         ntdll,
         [("kernelbase", kernelbase.image), ("advapi32", advapi32)],
-        [KERNELBASE_BASE, ADVAPI32_BASE],
         RewriteConfig(stub_base=STUB_BASE),
     )
 

@@ -12,6 +12,7 @@ from hookscope import (
     find_syscall_instruction,
     hash_name,
     read_clean_ssn,
+    resolve_ssns,
 )
 from hookscope.errors import NoCleanNeighbor, NoZwExports, SsnOutOfRange
 from hookscope.fixtures import (
@@ -258,3 +259,59 @@ def test_thousand_random_subsets_all_derive(clean_478_ntdll):
             if got != i:
                 failures += 1
     assert failures == 0
+
+
+@st.composite
+def positional_ntdlls(draw):
+    """A ntdll whose stub i has number i, with random jump and garbage hooks
+    (at least one stub clean), Nt/Zw names and aliases, and forwarders; with
+    its spec."""
+    count = draw(st.integers(1, 40))
+    prefixes = draw(st.lists(st.sampled_from(["Nt", "Zw"]), min_size=count, max_size=count))
+    names = [f"{prefix}Stub{i:02d}" for i, prefix in enumerate(prefixes)]
+    kinds = draw(
+        st.lists(st.sampled_from([None, "jmp", "garbage"]), min_size=count, max_size=count)
+        .filter(lambda kinds: None in kinds)
+    )
+    hook_of = {"jmp": JmpRel32Hook(0x150000), "garbage": GarbageHook()}
+    fwd_prefixes = draw(st.lists(st.sampled_from(["Nt", "Zw"]), max_size=3))
+    spec = NtdllSpec(
+        functions=tuple((name, i) for i, name in enumerate(names)),
+        hooks={name: hook_of[kind] for name, kind in zip(names, kinds) if kind},
+        alias_both_prefixes=draw(st.booleans()),
+        forwarders=tuple(
+            (f"{prefix}Fwd{j}", f"other.{prefix}Fwd{j}") for j, prefix in enumerate(fwd_prefixes)
+        ),
+    )
+    seed = draw(st.integers(0, 9))
+    return build_synthetic_ntdll(spec, image_base=NTDLL_BASE, seed=seed), spec
+
+
+class TestRouteOracle:
+    """`resolve_ssns` on every route against the fixture's ground truth."""
+
+    @given(fixture=positional_ntdlls())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_routes_match_ground_truth(self, fixture):
+        image, spec = fixture
+
+        def shown(name: str) -> str:  # the Zw-preferred spelling of a stub
+            return "Zw" + name[2:] if spec.alias_both_prefixes else name
+
+        truth = {shown(name): ssn for name, ssn in spec.functions}
+        hooked = sorted(shown(name) for name in spec.hooks)
+        clean = {name: ssn for name, ssn in truth.items() if name not in hooked}
+        zw = [name for name in truth if name.startswith("Zw")]
+
+        assert resolve_ssns(image, "halos", PARAMS) == (truth, hooked)
+        assert resolve_ssns(image, "prologue", PARAMS) == (clean, [])
+        if not zw:
+            with pytest.raises(NoZwExports):
+                resolve_ssns(image, "sort", PARAMS)
+            return
+        # Sort numbers the Zw stubs by address; with every stub Zw-named that
+        # is the true number, name for name.
+        by_sort, derived = resolve_ssns(image, "sort", PARAMS)
+        assert (by_sort, derived) == ({name: rank for rank, name in enumerate(zw)}, [])
+        if len(zw) == len(truth):
+            assert by_sort == truth

@@ -2,7 +2,8 @@
 
 `scan`, `ssn` and `table` take their hooked stubs from `ssn.read_stubs`, so
 they agree on which addresses are stubs, also on images with a repeated
-export name or an export whose prologue runs past the extent.
+export name or an export whose prologue runs past the extent. A repeated name
+takes its number from the first address the name table gives it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ def repeated_name_dump() -> bytes:
     """Two name entries read ZwFiller0005; the first of them is at a hooked stub."""
     image = probe_ntdll(hooks=("ZwFiller0003",))
     renamed = {PROBE_NAMES.index("ZwFiller0003"): PROBE_NAMES.index("ZwFiller0005")}
+    return edit_exports(image, names=renamed)
+
+
+def second_hooked_dump() -> bytes:
+    """Two name entries read ZwFiller0005; the second of them is at a hooked stub."""
+    image = probe_ntdll(hooks=("ZwFiller0007",))
+    renamed = {PROBE_NAMES.index("ZwFiller0007"): PROBE_NAMES.index("ZwFiller0005")}
     return edit_exports(image, names=renamed)
 
 
@@ -150,3 +158,28 @@ def test_scan_table_and_halos_agree(tmp_path, dump, scan_exit):
     rows = json.loads(table.stdout)["entries"]
     assert {(r["name"], r["address"]) for r in rows if r["name"] not in BASE_FUNCTIONS} == hooked
     assert set(json.loads(ssn.stdout)["derived"]) == {name for name, _ in hooked}
+    ssns = json.loads(ssn.stdout)["ssns"]
+    assert all(ssns[row["name"]] == row["ssn"] for row in rows), (rows, ssns)
+
+
+@pytest.mark.parametrize(
+    "dump, halos, prologue",
+    [
+        pytest.param(repeated_name_dump, ["ZwFiller0005 3 (derived)"], [], id="first-hooked"),
+        pytest.param(
+            second_hooked_dump, ["ZwFiller0005 5"], ["ZwFiller0005 5"], id="second-hooked"
+        ),
+    ],
+)
+def test_repeated_name_reads_its_first_address(tmp_path, dump, halos, prologue):
+    # The number and the derived mark both come from the first address the
+    # name table gives the name, whichever of the two is hooked.
+    path = tmp_path / "ntdll.bin"
+    path.write_bytes(dump())
+    runner = CliRunner()
+    for method, expected in (("halos", halos), ("prologue", prologue)):
+        args = ["ssn", str(path), "--base", f"{NTDLL_BASE:x}", "--method", method]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        lines = [line for line in result.stdout.splitlines() if line.startswith("ZwFiller0005 ")]
+        assert lines == expected, method

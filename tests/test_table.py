@@ -201,6 +201,8 @@ class TestStubSlots:
             RewriteConfig(stub_base=0, list_entry_size=0x28)
         with pytest.raises(TypeError):
             RewriteConfig(stub_base=0, stub_entry_size=0x14)
+        with pytest.raises(TypeError):
+            RewriteConfig(stub_base=0, table_va=0)
 
 
 entry_strategy = st.builds(
