@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from pathlib import Path
 
 import click
@@ -199,6 +200,9 @@ def table(
     scan_limit: int,
 ) -> tuple[str, int]:
     """Build the syscall table over an ntdll image; write blob + JSON dump."""
+    json_path = Path(json_out) if json_out else Path(out).with_suffix(".json")
+    if os.path.realpath(json_path) == os.path.realpath(out):
+        raise click.UsageError(f"JSON dump path {json_path} is the blob path")
     image = _load_image(ntdll, "loaded", base)
     params = _params(stride, max_neighbours, scan_limit)
     built = build_syscall_list(image, params, extra_names=extra)
@@ -211,7 +215,6 @@ def table(
         "base_indices": list(built.base_indices),
     }
     json_text = json.dumps(dump) + "\n"
-    json_path = Path(json_out) if json_out else Path(out).with_suffix(".json")
     json_path.write_text(json_text)
     if fmt == "json":
         return json_text, EXIT_CLEAN

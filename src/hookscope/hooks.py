@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping
 
-from .image import PeImage, _is_native_name
+from .image import PeImage, _hex, _is_native_name
 from .simulate import ntdll_descriptors
 from .ssn import read_stubs
 
@@ -148,10 +148,6 @@ def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
     return dict(sorted(results.items()))
 
 
-def _hex(value: int) -> str:
-    return f"0x{value:016x}"
-
-
 def finding_to_json(finding: HookFinding) -> dict:
     return {
         "kind": finding.kind.value,
@@ -161,17 +157,6 @@ def finding_to_json(finding: HookFinding) -> dict:
         "observed_va": _hex(finding.observed_va),
         "detail": finding.detail.value,
     }
-
-
-def _finding_from_json(record: dict) -> HookFinding:
-    return HookFinding(
-        kind=HookKind(record["kind"]),
-        module=record["module"],
-        function=record["function"],
-        expected_va=int(record["expected_va"], 16),
-        observed_va=int(record["observed_va"], 16),
-        detail=HookDetail(record["detail"]),
-    )
 
 
 def render_report(report: ScanReport, as_json: bool) -> str:
@@ -204,19 +189,6 @@ def render_report(report: ScanReport, as_json: bool) -> str:
         lines.append(f"+-- {len(findings)} hooked functions.")
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def parse_report(data: str) -> ScanReport:
-    """Inverse of the JSON rendering, for round-trip checks."""
-    doc = json.loads(data)
-    return ScanReport(
-        ntdll_findings=tuple(_finding_from_json(r) for r in doc["ntdll"]),
-        per_module={
-            name: tuple(_finding_from_json(r) for r in records)
-            for name, records in doc["modules"].items()
-        },
-        mapped_function_count=doc["mapped"],
-    )
 
 
 def build_report(

@@ -146,6 +146,11 @@ def _u64(data: bytes, off: int) -> int:
     return struct.unpack_from("<Q", data, off)[0]
 
 
+def _hex(value: int) -> str:
+    """An address as reports and traces spell it: 0x and 16 lowercase hex digits."""
+    return f"0x{value:016x}"
+
+
 def parse_image(data: bytes, layout: Layout, image_base: int = 0) -> PeImage:
     """Parse a 64-bit PE byte buffer into a PeImage.
 

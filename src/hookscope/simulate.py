@@ -13,7 +13,7 @@ import functools
 import json
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import ClassVar, Iterator, Optional, Sequence, Union
 
 from .errors import (
     CorruptSlot,
@@ -25,7 +25,7 @@ from .errors import (
     UnknownImport,
 )
 from .image import IatSlot, ImportModule, PeImage, enumerate_imports, rva_to_offset
-from .image import _is_native_name
+from .image import _hex, _is_native_name
 from .ssn import SsnSearchParams
 from .table import (
     LIST_ENTRY_SIZE,
@@ -56,6 +56,10 @@ class ModuleEntry:
     @property
     def base(self) -> int:
         return self.image.image_base
+
+    def contains(self, va: int) -> bool:
+        """Whether `va` lies inside this module's mapped extent."""
+        return self.base <= va < self.base + self.image.extent
 
 
 @dataclass(frozen=True)
@@ -103,43 +107,73 @@ class RewritePlan:
 
 
 # --- call-trace steps ---
+# Each step gives its own JSON record and, for the steps a rendered call shows,
+# the text that `text.format(**record)` prints.
 
 
 @dataclass(frozen=True)
 class CallerModule:
     module: str
+    text: ClassVar[Optional[str]] = None
+
+    def record(self) -> dict:
+        return {"step": "caller_module", "module": self.module}
 
 
 @dataclass(frozen=True)
 class IatLookup:
     slot_va: int
     value: int
+    text: ClassVar[Optional[str]] = None
+
+    def record(self) -> dict:
+        return {"step": "iat_lookup", "slot_va": _hex(self.slot_va), "value": _hex(self.value)}
 
 
 @dataclass(frozen=True)
 class StubSlot:
     index: int
+    text: ClassVar[Optional[str]] = "Fnc{index:04X}"
+
+    def record(self) -> dict:
+        return {"step": "stub_slot", "index": self.index}
 
 
 @dataclass(frozen=True)
 class TableLookup:
     ssn: int
     syscall_ret: int
+    text: ClassVar[Optional[str]] = "ssn {ssn}"
+
+    def record(self) -> dict:
+        return {"step": "table_lookup", "ssn": self.ssn, "syscall_ret": _hex(self.syscall_ret)}
 
 
 @dataclass(frozen=True)
 class SyscallSite:
     va: int
+    text: ClassVar[Optional[str]] = "syscall {va}"
+
+    def record(self) -> dict:
+        return {"step": "syscall_site", "va": _hex(self.va)}
 
 
 @dataclass(frozen=True)
 class DirectNtdll:
     va: int
+    text: ClassVar[Optional[str]] = "ntdll {va}"
+
+    def record(self) -> dict:
+        return {"step": "direct_ntdll", "va": _hex(self.va)}
 
 
 @dataclass(frozen=True)
 class ForeignTarget:
     va: int
+    text: ClassVar[Optional[str]] = "foreign {va}"
+
+    def record(self) -> dict:
+        return {"step": "foreign_target", "va": _hex(self.va)}
 
 
 TraceStep = Union[
@@ -302,7 +336,7 @@ def _trace_slot(
         IatLookup(slot_va=caller.base + slot.iat_rva, value=value),
     ]
 
-    if ntdll.base <= value < ntdll.base + ntdll.image.extent:
+    if ntdll.contains(value):
         steps.append(DirectNtdll(va=value))
         return CallTrace(steps=tuple(steps))
 
@@ -398,13 +432,18 @@ def simulate_rewrite(
     """Assign the table's stub slots, plan and apply the rewrite, and resolve every call.
 
     Targets are rewritten in order, forced when also in `forced`; forced modules
-    that are not targets follow. A name listed twice is visited twice.
+    that are not targets follow. Each module is visited once, under its first
+    listing, as names compare in `normalize_module_name`, and is forced when
+    any of its listings is in `forced`.
     """
-    ordered = [(name, name in forced) for name in targets]
-    ordered += [(name, True) for name in forced if name not in targets]
+    force = {normalize_module_name(name) for name in forced}
+    first_listing: dict[str, str] = {}
+    for name in (*targets, *forced):
+        first_listing.setdefault(normalize_module_name(name), name)
+    ordered = [(name, key in force) for key, name in first_listing.items()]
     plan = plan_rewrite(process, assign_stub_slots(table, process.config), ordered, params)
     rewritten = apply_rewrite(process, plan)
-    return resolve_imports(rewritten, [name for name, _ in ordered], plan.table)
+    return resolve_imports(rewritten, list(first_listing.values()), plan.table)
 
 
 def verify_chain(trace: CallTrace, process: ProcessModel) -> ChainVerdict:
@@ -427,15 +466,12 @@ def verify_chain(trace: CallTrace, process: ProcessModel) -> ChainVerdict:
     caller = process.find(caller_step.module)
     if caller is None:
         reasons.append("CallerUnloaded")
-    elif not caller.base <= lookup.slot_va < caller.base + caller.image.extent:
+    elif not caller.contains(lookup.slot_va):
         reasons.append("CallSiteMoved")
-
-    def in_ntdll(va: int) -> bool:
-        return ntdll.base <= va < ntdll.base + ntdll.image.extent
 
     final = trace.steps[-1]
     if isinstance(final, (SyscallSite, DirectNtdll)):
-        if not in_ntdll(final.va):
+        if not ntdll.contains(final.va):
             reasons.append("OutsideNtdll")
     elif isinstance(final, ForeignTarget):
         reasons.append("OutsideNtdll")
@@ -447,45 +483,7 @@ def verify_chain(trace: CallTrace, process: ProcessModel) -> ChainVerdict:
 
 def trace_to_json(trace: CallTrace) -> list[dict]:
     """Stable JSON form of a trace: one record per step, in order."""
-    out: list[dict] = []
-    for step in trace.steps:
-        if isinstance(step, CallerModule):
-            out.append({"step": "caller_module", "module": step.module})
-        elif isinstance(step, IatLookup):
-            out.append(
-                {
-                    "step": "iat_lookup",
-                    "slot_va": f"0x{step.slot_va:016x}",
-                    "value": f"0x{step.value:016x}",
-                }
-            )
-        elif isinstance(step, StubSlot):
-            out.append({"step": "stub_slot", "index": step.index})
-        elif isinstance(step, TableLookup):
-            out.append(
-                {
-                    "step": "table_lookup",
-                    "ssn": step.ssn,
-                    "syscall_ret": f"0x{step.syscall_ret:016x}",
-                }
-            )
-        elif isinstance(step, SyscallSite):
-            out.append({"step": "syscall_site", "va": f"0x{step.va:016x}"})
-        elif isinstance(step, DirectNtdll):
-            out.append({"step": "direct_ntdll", "va": f"0x{step.va:016x}"})
-        elif isinstance(step, ForeignTarget):
-            out.append({"step": "foreign_target", "va": f"0x{step.va:016x}"})
-    return out
-
-
-# Text form of each trace step a rendered call shows; other steps are left out.
-_STEP_TEXT = {
-    "stub_slot": "Fnc{index:04X}",
-    "table_lookup": "ssn {ssn}",
-    "syscall_site": "syscall {va}",
-    "direct_ntdll": "ntdll {va}",
-    "foreign_target": "foreign {va}",
-}
+    return [step.record() for step in trace.steps]
 
 
 def render_calls(results: Sequence[ResolvedCall], as_json: bool) -> str:
@@ -510,10 +508,9 @@ def render_calls(results: Sequence[ResolvedCall], as_json: bool) -> str:
     lines = []
     for call in results:
         parts = [f"{call.module}!{call.function}"]
-        for record in trace_to_json(call.trace):
-            text = _STEP_TEXT.get(record["step"])
-            if text is not None:
-                parts.append(text.format(**record))
+        for step in call.trace.steps:
+            if step.text is not None:
+                parts.append(step.text.format(**step.record()))
         status = "ok" if call.verdict.passed else "FAIL " + ",".join(call.verdict.reasons)
         lines.append(" -> ".join(parts) + f" [{status}]")
     lines.append(f"[+] Resolved {len(results)} calls")

@@ -551,6 +551,23 @@ class TestTableCommand:
         assert doc["count"] == 12
         assert [(e["name"], e["ssn"]) for e in doc["entries"]] == EXPECTED_TABLE
 
+    @pytest.mark.parametrize(
+        "out_name, json_out", [("t.json", None), ("t.bin", "./t.bin")], ids=["derived", "explicit"]
+    )
+    def test_json_path_equal_to_blob_path_exit_two(
+        self, runner, tmp_path, scenario_ntdll, out_name, json_out
+    ):
+        dump = tmp_path / "ntdll.dump"
+        dump.write_bytes(scenario_ntdll.data)
+        out = tmp_path / out_name
+        args = ["table", str(dump), "--base", f"{NTDLL_BASE:x}", "--out", str(out)]
+        if json_out is not None:
+            args += ["--json-out", f"{tmp_path}/{json_out}"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "is the blob path" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("option", ["--out", "--json-out"])
     def test_unwritable_output_exit_two(self, runner, tmp_path, scenario_ntdll, option):
         dump = tmp_path / "ntdll.dump"
@@ -721,6 +738,23 @@ class TestSimulateCommand:
         )
         assert result.exit_code == 0
         assert "Fnc0002" in result.output
+
+    @pytest.mark.parametrize(
+        "listed, once",
+        [
+            (["--target", "kernelbase", "--target", "kernelbase"], ["--target", "kernelbase"]),
+            (["--force", "kernelbase", "--force", "kernelbase"], ["--force", "kernelbase"]),
+            (["--target", "kernelbase", "--target", "KERNELBASE.dll"], ["--target", "kernelbase"]),
+            (["--target", "kernelbase", "--force", "KERNELBASE.dll"], ["--force", "kernelbase"]),
+        ],
+        ids=["target-twice", "force-twice", "two-spellings", "forced-spelling"],
+    )
+    def test_module_listed_twice_is_visited_once(self, runner, tmp_path, listed, once):
+        path = write_spec(tmp_path, scenario_spec_doc())
+        single = runner.invoke(main, ["simulate", str(path), *once])
+        assert single.exit_code == 0, single.output
+        repeated = runner.invoke(main, ["simulate", str(path), *listed])
+        assert (repeated.exit_code, repeated.output) == (0, single.output)
 
     def test_force_target_appended(self, runner, tmp_path):
         doc = scenario_spec_doc()

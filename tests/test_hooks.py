@@ -26,8 +26,8 @@ from hookscope.hooks import (
     HookFinding,
     HookKind,
     decode_jmp_rel32,
+    finding_to_json,
     mapped_function_count,
-    parse_report,
 )
 from hookscope.image import Layout, parse_image
 from hookscope.simulate import ProcessModel
@@ -252,9 +252,11 @@ class TestRenderReport:
         hooks = {"NtA": GarbageHook(), "NtB": GarbageHook(), "NtC": JmpRel32Hook(0x8000)}
         image = build_synthetic_ntdll(NtdllSpec(functions=functions, hooks=hooks))
         report = build_report(ntdll=image)
-        blob = render_report(report, True)
-        doc = json.loads(blob)
+        doc = json.loads(render_report(report, True))
         assert len(doc["ntdll"]) == 3
+        assert doc["ntdll"] == [finding_to_json(f) for f in report.ntdll_findings]
+        assert doc["modules"] == {}
+        assert doc["mapped"] == report.mapped_function_count
         assert set(doc["ntdll"][0]) == {
             "kind",
             "module",
@@ -263,9 +265,6 @@ class TestRenderReport:
             "observed_va",
             "detail",
         }
-        recovered = parse_report(blob)
-        assert recovered.ntdll_findings == report.ntdll_findings
-        assert recovered.mapped_function_count == report.mapped_function_count
 
     def test_hex_strings_are_16_digit_lowercase(self):
         finding = HookFinding(

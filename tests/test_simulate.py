@@ -53,6 +53,7 @@ from hookscope.simulate import (
     StubSlot,
     SyscallSite,
     TableLookup,
+    normalize_module_name,
     trace_to_json,
 )
 
@@ -535,12 +536,14 @@ def three_module_process():
 
 
 def reference_pipeline(process, table, targets, forced, params=None):
-    """The explicit pipeline `simulate_rewrite` replaces."""
+    """The explicit pipeline `simulate_rewrite` replaces: each module once, under
+    its first listing, forced when any of its listings is forced."""
     built = assign_stub_slots(table, process.config)
-    ordered = [(name, name in forced) for name in targets]
-    for name in forced:
-        if name not in targets:
-            ordered.append((name, True))
+    key = normalize_module_name
+    ordered = []
+    for name in list(targets) + list(forced):
+        if all(key(name) != key(seen) for seen, _ in ordered):
+            ordered.append((name, any(key(name) == key(f) for f in forced)))
     plan = plan_rewrite(process, built, ordered, params)
     rewritten = apply_rewrite(process, plan)
     return resolve_imports(rewritten, [name for name, _ in ordered], plan.table)
@@ -567,12 +570,14 @@ class TestSimulateRewrite:
         forced=st.lists(st.sampled_from(MODULE_NAMES), max_size=3),
     )
     @example(targets=["kernelbase"], forced=["advapi32", "bcrypt"])
+    @example(targets=["kernelbase", "C:\\x\\KernelBase.dll"], forced=["advapi32", "ADVAPI32.dll"])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_matches_explicit_pipeline(self, targets, forced):
         process, table = three_module_process(), three_module_table()
         got = outcome(lambda: simulate_rewrite(process, table, targets, forced, PARAMS))
         want = outcome(lambda: reference_pipeline(process, table, targets, forced, PARAMS))
         assert got == want
+        assert got[:1] != (StaleEdit,)  # a module listed twice is still planned once
 
     def test_forced_growth_reaches_every_import(self):
         process, table = three_module_process(), three_module_table()
@@ -603,6 +608,41 @@ def reference_text(results):
     return "\n".join(lines) + "\n"
 
 
+def reference_records(trace):
+    """The JSON record of each trace step, spelled out per step type."""
+    records = []
+    for step in trace.steps:
+        if isinstance(step, CallerModule):
+            records.append({"step": "caller_module", "module": step.module})
+        elif isinstance(step, IatLookup):
+            records.append(
+                {
+                    "step": "iat_lookup",
+                    "slot_va": f"0x{step.slot_va:016x}",
+                    "value": f"0x{step.value:016x}",
+                }
+            )
+        elif isinstance(step, StubSlot):
+            records.append({"step": "stub_slot", "index": step.index})
+        elif isinstance(step, TableLookup):
+            records.append(
+                {
+                    "step": "table_lookup",
+                    "ssn": step.ssn,
+                    "syscall_ret": f"0x{step.syscall_ret:016x}",
+                }
+            )
+        elif isinstance(step, SyscallSite):
+            records.append({"step": "syscall_site", "va": f"0x{step.va:016x}"})
+        elif isinstance(step, DirectNtdll):
+            records.append({"step": "direct_ntdll", "va": f"0x{step.va:016x}"})
+        elif isinstance(step, ForeignTarget):
+            records.append({"step": "foreign_target", "va": f"0x{step.va:016x}"})
+        else:
+            raise AssertionError(f"unknown step {step!r}")
+    return records
+
+
 class TestRenderCalls:
     @pytest.fixture(scope="class")
     def results(self):
@@ -618,6 +658,23 @@ class TestRenderCalls:
         failed = [c for c in results if not c.verdict.passed]
         assert {type(c.trace.steps[-1]) for c in failed} == {SyscallSite, ForeignTarget}
         assert all(c.verdict.reasons == ("OutsideNtdll",) for c in failed)
+
+    def test_step_records_match_reference(self, results):
+        traces = [call.trace for call in results]
+        kinds = {type(step) for trace in traces for step in trace.steps}
+        assert kinds == {
+            CallerModule, IatLookup, StubSlot, TableLookup, SyscallSite, DirectNtdll, ForeignTarget
+        }
+        # Small values show the zero padding, hex letters the case.
+        head = (CallerModule("m"), IatLookup(slot_va=0xAB, value=0xCD))
+        traces += [
+            CallTrace(head + (StubSlot(0x1F), TableLookup(7, syscall_ret=0xEF), SyscallSite(0xEF))),
+            CallTrace(head + (DirectNtdll(0xCD),)),
+            CallTrace(head + (ForeignTarget(0xCD),)),
+        ]
+        for trace in traces:
+            got = [list(record.items()) for record in trace_to_json(trace)]
+            assert got == [list(record.items()) for record in reference_records(trace)]
 
     def test_text_matches_reference(self, results):
         assert render_calls(results, as_json=False) == reference_text(results)
