@@ -203,6 +203,9 @@ def table(
     json_path = Path(json_out) if json_out else Path(out).with_suffix(".json")
     if os.path.realpath(json_path) == os.path.realpath(out):
         raise click.UsageError(f"JSON dump path {json_path} is the blob path")
+    for path in (out, json_path):
+        if os.path.realpath(path) == os.path.realpath(ntdll):
+            raise click.UsageError(f"output path {path} is the input {ntdll}")
     image = _load_image(ntdll, "loaded", base)
     params = _params(stride, max_neighbours, scan_limit)
     built = build_syscall_list(image, params, extra_names=extra)

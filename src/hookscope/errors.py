@@ -40,7 +40,7 @@ class UnmappedRva(HookscopeError):
 
 
 class OutOfRange(HookscopeError):
-    """Virtual-address read outside the mapped extent."""
+    """A read outside the mapped extent, or a value outside its 64-bit field."""
 
 
 class WrongLayout(HookscopeError):

@@ -70,7 +70,7 @@ def scan_inline_hooks(ntdll: PeImage) -> list[HookFinding]:
     """
     stubs = read_stubs(ntdll)
     findings: list[HookFinding] = []
-    for name, rva in ntdll.native_exports.named:
+    for name, rva in ntdll.native_exports.owner.items():
         if stubs.get(rva, 0) is not None:  # intact, or outside the extent
             continue
         entry_va = ntdll.image_base + rva
@@ -95,8 +95,8 @@ def scan_inline_hooks(ntdll: PeImage) -> list[HookFinding]:
 
 
 def mapped_function_count(ntdll: PeImage) -> int:
-    """Number of Nt/Zw exports an inline scan examines."""
-    return len(ntdll.native_exports.named)
+    """Number of Nt/Zw export names an inline scan examines."""
+    return len(ntdll.native_exports.owner)
 
 
 def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:

@@ -452,25 +452,32 @@ def _sibling_spelling(name: str) -> Optional[str]:
 class NativeExportIndex:
     """The named, non-forwarded Nt/Zw exports of one image, from one walk.
 
-    `named` keeps (name, rva) in name-table order, duplicates included;
-    `canonical_by_rva` keys each address by its Zw-preferred spelling and is
-    built on first use. Use `PeImage.native_exports` rather than building
-    one directly.
+    `owner` maps each name to the first address the name table gives it; an
+    address that only repeated names reach is no stub and is logged once.
+    `canonical_by_rva` keys each owned address by its Zw-preferred spelling
+    and is built on first use. Build the index through `PeImage.native_exports`.
     """
 
     def __init__(self, image: PeImage) -> None:
-        self.named: list[tuple[str, int]] = [
-            (name, rva)
-            for name, _, rva, forwarded_to in enumerate_exports(image)
-            if forwarded_to is None and _is_native_name(name)
-        ]
-        self.name_to_rva: dict[str, int] = dict(self.named)
+        self.owner: dict[str, int] = {}
+        repeats: dict[int, str] = {}  # address of a repeated name -> first such name
+        for name, _, rva, forwarded_to in enumerate_exports(image):
+            if forwarded_to is None and _is_native_name(name):
+                if self.owner.setdefault(name, rva) != rva:
+                    repeats.setdefault(rva, name)
+        owned = set(self.owner.values()) if repeats else set()
+        shadowed = [name for rva, name in repeats.items() if rva not in owned]
+        if shadowed:
+            log.warning(
+                "%d export addresses are held only by repeated names; skipped (first: %s)",
+                len(shadowed), shadowed[0],
+            )
 
     @functools.cached_property
     def canonical_by_rva(self) -> dict[int, str]:
         """Per address, the least name under (not Zw, name): Zw first, then by name."""
         canonical: dict[int, str] = {}
-        for name, rva in self.named:
+        for name, rva in self.owner.items():
             held = canonical.get(rva)
             if held is None or (name[:2] != "Zw", name) < (held[:2] != "Zw", held):
                 canonical[rva] = name
@@ -478,11 +485,9 @@ class NativeExportIndex:
 
     def resolve(self, name: str) -> Optional[int]:
         """RVA of `name`, or of its sibling spelling when only that is exported."""
-        rva = self.name_to_rva.get(name)
-        if rva is None:
-            sibling = _sibling_spelling(name)
-            if sibling is not None:
-                rva = self.name_to_rva.get(sibling)
+        rva = self.owner.get(name)
+        if rva is None and _is_native_name(name):
+            rva = self.owner.get(_sibling_spelling(name))
         return rva
 
 

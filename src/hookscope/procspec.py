@@ -189,11 +189,12 @@ def load_process_spec(path: Union[str, Path]) -> ProcessModel:
 
     @functools.cache
     def exports() -> dict[str, int]:
-        return {
-            entry.name: entry.rva
-            for entry in enumerate_exports(ntdll_image)
-            if entry.name is not None and entry.forwarded_to is None
-        }
+        # A repeated name takes its first address, as `NativeExportIndex.owner` does.
+        first: dict[str, int] = {}
+        for entry in enumerate_exports(ntdll_image):
+            if entry.name is not None and entry.forwarded_to is None:
+                first.setdefault(entry.name, entry.rva)
+        return first
 
     def resolve(dll: str, fn: Union[str, int]) -> int:
         if normalize_module_name(dll) != normalize_module_name(ntdll_name):

@@ -61,7 +61,7 @@ def _require_loaded(image: PeImage) -> None:
 
 
 def read_stubs(ntdll: PeImage) -> dict[int, Optional[int]]:
-    """Each Nt/Zw export address mapped to its direct service number.
+    """Each owned Nt/Zw export address mapped to its direct service number.
 
     Reads every address's eight-byte prologue once, whichever names share it:
     an intact stub maps to its number, a hooked one to None. Addresses whose
@@ -70,7 +70,7 @@ def read_stubs(ntdll: PeImage) -> dict[int, Optional[int]]:
     _require_loaded(ntdll)
     stubs: dict[int, Optional[int]] = {}
     outside: list[str] = []
-    for name, rva in ntdll.native_exports.named:
+    for name, rva in ntdll.native_exports.owner.items():
         if rva + 8 > ntdll.extent:
             outside.append(name)
         elif rva not in stubs:
@@ -145,10 +145,9 @@ def find_syscall_instruction(
 
 def derive_ssn_by_sort(ntdll: PeImage) -> dict[str, int]:
     """Assign service numbers by position of the Zw exports sorted by address."""
-    zw = [(rva, name) for name, rva in ntdll.native_exports.named if name.startswith("Zw")]
+    zw = sorted((rva, name) for name, rva in ntdll.native_exports.owner.items() if name[:2] == "Zw")
     if not zw:
         raise NoZwExports("image exports no Zw-prefixed functions")
-    zw.sort()
     return {name: index for index, (_, name) in enumerate(zw)}
 
 
@@ -161,9 +160,8 @@ def resolve_ssns(
     either layout. `prologue` reads each stub's prologue and leaves hooked
     stubs out; `halos` falls back to stride neighbours for those and lists
     them, in name order, as derived. Both read stubs, so they need a loaded
-    image. Each address is reported under its Zw-preferred spelling; a name
-    held by several addresses takes its number, and its derived mark, from
-    the first of them in the name table.
+    image. Each stub is reported under its Zw-preferred spelling, so a name
+    has the one address `NativeExportIndex.owner` gives it.
     """
     if method == "sort":
         return derive_ssn_by_sort(ntdll), []
@@ -171,13 +169,9 @@ def resolve_ssns(
         raise ValueError(f"unknown resolution method {method!r}")
     stubs = read_stubs(ntdll)
     canonical = ntdll.native_exports.canonical_by_rva
-    first: dict[str, int] = {}
-    for name, rva in ntdll.native_exports.named:
-        if rva in stubs and canonical[rva] == name:
-            first.setdefault(name, rva)
     mapping: dict[str, int] = {}
     derived: list[str] = []
-    for name, rva in sorted(first.items()):
+    for name, rva in sorted((canonical[rva], rva) for rva in stubs):
         ssn = stubs[rva]
         if ssn is None:
             if method == "prologue":

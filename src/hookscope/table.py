@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import MalformedBlob, MissingBaseFunction, SyscallNotFound, TableFull
+from .errors import MalformedBlob, MissingBaseFunction, OutOfRange, SyscallNotFound, TableFull
 from .image import PeImage
 from .ssn import (
     SsnSearchParams,
@@ -75,8 +75,14 @@ class RewriteConfig:
     stub_base: int
 
     def stub_slot(self, index: int) -> int:
-        """Address of the interception slot that dispatches table entry `index`."""
-        return self.stub_base + index * STUB_ENTRY_SIZE
+        """Address of the interception slot that dispatches table entry `index`.
+
+        A slot address outside 64 bits raises OutOfRange.
+        """
+        slot = self.stub_base + index * STUB_ENTRY_SIZE
+        if not 0 <= slot < 1 << 64:
+            raise OutOfRange(f"stub slot {index} at {slot:#x} is not a 64-bit address")
+        return slot
 
 
 def make_entry(
@@ -150,13 +156,19 @@ def assign_stub_slots(table: SyscallList, config: RewriteConfig) -> SyscallList:
 
 
 def serialize_list(table: SyscallList) -> bytes:
-    """Little-endian blob: count, then 0x28-byte records, then six base indices."""
-    out = bytearray(struct.pack("<Q", table.count))
-    for e in table.entries:
-        out += struct.pack(
-            "<QQQQQ", e.ssn, e.address, e.syscall_ret, e.stub_slot, e.name_hash
-        )
-    out += struct.pack("<6Q", *table.base_indices)
+    """Little-endian blob: count, then 0x28-byte records, then six base indices.
+
+    A field that is not an unsigned 64-bit integer raises OutOfRange.
+    """
+    try:
+        out = bytearray(struct.pack("<Q", table.count))
+        for e in table.entries:
+            out += struct.pack(
+                "<QQQQQ", e.ssn, e.address, e.syscall_ret, e.stub_slot, e.name_hash
+            )
+        out += struct.pack("<6Q", *table.base_indices)
+    except struct.error as exc:
+        raise OutOfRange(f"table field is not an unsigned 64-bit integer: {exc}") from exc
     return bytes(out)
 
 

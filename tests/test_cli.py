@@ -18,7 +18,7 @@ import hookscope.image
 from hookscope import BASE_FUNCTIONS, PeImage, ProcessModel
 import hookscope.simulate
 from hookscope.fixtures import GarbageHook, NtdllSpec, build_synthetic_ntdll
-from hookscope.image import Layout, NativeExportIndex, parse_image
+from hookscope.image import Layout, NativeExportIndex, enumerate_imports, parse_image
 from hookscope.procspec import load_process_spec
 
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     SCENARIO_BASE_RVA,
     STUB_BASE,
     TABLE_VA,
+    edit_exports,
     positioned_functions,
 )
 
@@ -260,6 +261,29 @@ class TestProcessSpecLoading:
         }
         model = load_process_spec(write_spec(tmp_path, doc))
         assert model.ntdll().image.data == image.data
+
+    def test_inline_module_binds_a_repeated_name_to_its_first_address(self, tmp_path):
+        # RtlAlpha's name entry comes first (stub 2); RtlBeta's entry is
+        # edited to read RtlAlpha too, so the name also reaches stub 5.
+        functions = positioned_functions(8, {2: "RtlAlpha", 5: "RtlBeta"})
+        image = build_synthetic_ntdll(NtdllSpec(functions=functions), image_base=NTDLL_BASE)
+        names = sorted(name for name, _ in functions)
+        repeated = edit_exports(image, names={names.index("RtlBeta"): names.index("RtlAlpha")})
+        (tmp_path / "ntdll.dump").write_bytes(repeated)
+        doc = {
+            "modules": [
+                {"name": "ntdll", "base": f"0x{NTDLL_BASE:x}", "path": "ntdll.dump"},
+                {
+                    "name": "user",
+                    "base": "0x7ff600000000",
+                    "inline_fixture": {"type": "module", "imports": [["ntdll.dll", "RtlAlpha"]]},
+                },
+            ],
+            "ntdll": "ntdll",
+        }
+        model = load_process_spec(write_spec(tmp_path, doc))
+        [imported] = enumerate_imports(model.find("user").image)
+        assert [slot.bound_value for slot in imported.slots] == [NTDLL_BASE + 0x1000 + 2 * 32]
 
     @pytest.mark.parametrize(
         "spec_name, ntdll_key, shown",
@@ -567,6 +591,20 @@ class TestTableCommand:
         assert result.exit_code == 2, result.output
         assert "is the blob path" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--out", "--json-out"])
+    def test_output_path_equal_to_input_exit_two(self, runner, tmp_path, scenario_ntdll, option):
+        dump = tmp_path / "ntdll.dump"
+        dump.write_bytes(scenario_ntdll.data)
+        out = dump if option == "--out" else tmp_path / "t.bin"
+        args = ["table", str(dump), "--base", f"{NTDLL_BASE:x}", "--out", str(out)]
+        if option == "--json-out":
+            args += ["--json-out", f"{tmp_path}/./ntdll.dump"]  # the input, spelled otherwise
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "is the input" in result.output
+        assert dump.read_bytes() == scenario_ntdll.data
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ntdll.dump"]
 
     @pytest.mark.parametrize("option", ["--out", "--json-out"])
     def test_unwritable_output_exit_two(self, runner, tmp_path, scenario_ntdll, option):

@@ -277,6 +277,15 @@ def reference_enumerate_exports(image):
     return entries
 
 
+def reference_owner(entries):
+    """Each named, non-forwarded Nt/Zw export's first address, in name-table order."""
+    owner = {}
+    for e in entries:
+        if isinstance(e.name, str) and e.name[:2] in ("Nt", "Zw") and e.forwarded_to is None:
+            owner.setdefault(e.name, e.rva)
+    return owner
+
+
 def reference_canonical(named):
     """Per address, the least Zw name, else the least name; in first-seen order."""
     names_by_rva: dict[int, list[str]] = {}
@@ -385,17 +394,21 @@ class TestExportWalkMatchesReference:
         expected, expected_records = walk(reference_enumerate_exports)
         assert walk(enumerate_exports) == (expected, expected_records)
 
-        named = [
-            (e.name, e.rva)
-            for e in expected
-            if isinstance(e.name, str)
-            and (e.name.startswith("Nt") or e.name.startswith("Zw"))
-            and e.forwarded_to is None
+        owner = reference_owner(expected)
+        index, records = walk(NativeExportIndex)
+        assert list(index.owner.items()) == list(owner.items())
+        # The index walks once more, then logs the addresses no name owns.
+        owned = set(owner.values())
+        lost = [
+            e for e in expected if e.name in owner and e.forwarded_to is None and e.rva not in owned
         ]
-        index = NativeExportIndex(image)
-        assert index.named == named
-        assert index.name_to_rva == dict(named)
-        assert list(index.canonical_by_rva.items()) == list(reference_canonical(named).items())
+        assert records[: len(expected_records)] == expected_records
+        shadow_args = [args for *_, args in records[len(expected_records) :]]
+        assert shadow_args == ([(len({e.rva for e in lost}), lost[0].name)] if lost else [])
+        assert all(index.resolve(name) == rva for name, rva in owner.items())
+        assert list(index.canonical_by_rva.items()) == list(
+            reference_canonical(owner.items()).items()
+        )
 
     def test_directories_cover_every_case(self):
         """The strategy reaches each skip kind, forwarders and ordinal-only slots."""
@@ -511,19 +524,15 @@ class TestNativeExportIndex:
         assert image.native_exports is index
         assert walks == [image]
 
-    def test_named_keeps_name_table_order_and_aliases(self):
+    def test_owner_keeps_name_table_order_and_aliases(self):
         image = self._ntdll()
         index = image.native_exports
-        assert index.named == [
-            (e.name, e.rva)
-            for e in enumerate_exports(image)
-            if e.name and e.name[:2] in ("Nt", "Zw") and e.forwarded_to is None
-        ]
-        assert len(index.named) == 8  # four stubs, each under both spellings
+        assert list(index.owner.items()) == list(reference_owner(enumerate_exports(image)).items())
+        assert len(index.owner) == 8  # four stubs, each under both spellings
         rva = index.resolve("NtOpenFile")
-        assert rva == index.resolve("ZwOpenFile") == index.name_to_rva["NtOpenFile"]
+        assert rva == index.resolve("ZwOpenFile") == index.owner["NtOpenFile"]
         assert index.canonical_by_rva[rva] == "ZwOpenFile"
-        assert "ZwForwarded" not in index.name_to_rva
+        assert "ZwForwarded" not in index.owner
         assert index.resolve("ZwAbsent") is None
 
     def test_replaced_image_gets_a_fresh_index(self):
@@ -533,10 +542,10 @@ class TestNativeExportIndex:
         data = image.data.replace(b"ZwFiller0002\x00", b"ZwRenamed002\x00")
         renamed = dataclasses.replace(image, data=data)
         assert renamed.native_exports is not before
-        assert "ZwRenamed002" in renamed.native_exports.name_to_rva
-        assert "ZwFiller0002" not in renamed.native_exports.name_to_rva
+        assert "ZwRenamed002" in renamed.native_exports.owner
+        assert "ZwFiller0002" not in renamed.native_exports.owner
         assert image.native_exports is before
-        assert "ZwFiller0002" in before.name_to_rva
+        assert "ZwFiller0002" in before.owner
 
     @given(
         st.lists(
@@ -552,7 +561,7 @@ class TestNativeExportIndex:
         entries = [ExportEntry(p + stem, i, rva) for i, (p, stem, rva) in enumerate(aliases)]
         with mock.patch.object(hookscope.image, "enumerate_exports", lambda image: entries):
             index = NativeExportIndex(self._ntdll())
-        expected = reference_canonical(index.named)
+        expected = reference_canonical(reference_owner(entries).items())
         assert list(index.canonical_by_rva.items()) == list(expected.items())
 
 

@@ -3,7 +3,8 @@
 `scan`, `ssn` and `table` take their hooked stubs from `ssn.read_stubs`, so
 they agree on which addresses are stubs, also on images with a repeated
 export name or an export whose prologue runs past the extent. A repeated name
-takes its number from the first address the name table gives it.
+owns only the first address the name table gives it; an address that no name
+owns is no stub to any of them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ from hypothesis import given, settings, strategies as st
 import hookscope.ssn
 from hookscope import BASE_FUNCTIONS, SsnSearchParams, enumerate_exports, read_clean_ssn
 from hookscope.cli import main
+from hookscope.errors import HookscopeError
 from hookscope.fixtures import GarbageHook, JmpRel32Hook, NtdllSpec, build_synthetic_ntdll
+from hookscope.hooks import scan_inline_hooks
 from hookscope.image import Layout, parse_image
 from hookscope.ssn import read_stubs, resolve_ssns
+from hookscope.table import build_syscall_list, debug_dump
 
 from conftest import NTDLL_BASE, edit_exports, positioned_functions
 
@@ -60,20 +64,30 @@ def loaded(data: bytes):
 
 
 def reference_stubs(image) -> dict:
-    """Per named Nt/Zw export from a fresh export walk, its prologue read on its own."""
-    stubs = {}
+    """Per named Nt/Zw export from a fresh export walk, the prologue at the
+    first address the name table gives that name, read on its own."""
+    first = {}
     for name, _, rva, forwarded_to in enumerate_exports(image):
         if name and name.startswith(("Nt", "Zw")) and forwarded_to is None:
-            if rva + 8 <= image.extent:
-                stubs[rva] = read_clean_ssn(image.data[rva : rva + 8])
+            first.setdefault(name, rva)
+    stubs = {}
+    for rva in first.values():
+        if rva + 8 <= image.extent:
+            stubs[rva] = read_clean_ssn(image.data[rva : rva + 8])
     return stubs
 
 
 @st.composite
-def edited_images(draw):
-    count = draw(st.integers(4, 24))
+def edited_images(draw, with_base=False):
+    """Position-numbered stubs, some hooked, with repeated names and function
+    slots moved near or past the extent. With `with_base`, the first six stubs
+    are the table's base functions, whose names, name entries and slots stay
+    as built, and at least one stub stays intact."""
+    count = draw(st.integers(8 if with_base else 4, 24))
     names = [f"ZwStub{i:02d}" for i in range(count)]
-    hooked = draw(st.sets(st.sampled_from(names), max_size=count))
+    fixed = len(BASE_FUNCTIONS) if with_base else 0
+    names[:fixed] = BASE_FUNCTIONS[:fixed]
+    hooked = draw(st.sets(st.sampled_from(names), max_size=count - 1 if with_base else count))
     hook = draw(st.sampled_from([JmpRel32Hook(0x150000), GarbageHook()]))
     aliases = draw(st.booleans())
     spec = NtdllSpec(
@@ -83,11 +97,13 @@ def edited_images(draw):
     )
     image = build_synthetic_ntdll(spec, image_base=NTDLL_BASE, seed=draw(st.integers(0, 9)))
     name_count = count * (2 if aliases else 1)
-    index = st.integers(0, name_count - 1)
+    table_names = sorted({*names, *(("Nt" + name[2:]) for name in names if aliases)})
+    kept = {j for j, name in enumerate(table_names) if name[2:] in {n[2:] for n in names[:fixed]}}
+    index = st.integers(0, name_count - 1).filter(lambda j: j not in kept)
     repeated = draw(st.dictionaries(index, index, max_size=4))
     moved = draw(
         st.dictionaries(
-            st.integers(0, count - 1),
+            st.integers(fixed, count - 1),
             st.integers(-12, 0x100).map(lambda d: image.extent + d),
             max_size=3,
         )
@@ -117,6 +133,34 @@ class TestReadStubs:
         assert record.args == (2, "ZwFiller0007")
 
 
+class TestRoutesAgree:
+    @given(image=edited_images(with_base=True))
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    def test_scan_table_and_halos_name_one_triple_per_stub(self, image):
+        # scan gives (name, address) per hooked stub, the table gives
+        # (name, address, number) per row, and halos gives (name, number).
+        # A hooked stub with no intact neighbour fails the table and halos alike.
+        params = SsnSearchParams()
+        hooked = {(f.function, f.expected_va) for f in scan_inline_hooks(image)}
+        try:
+            table = build_syscall_list(image, params)
+        except HookscopeError as exc:
+            with pytest.raises(type(exc)):
+                resolve_ssns(image, "halos", params)
+            return
+        rows = [(r["name"], int(r["address"], 16), r["ssn"]) for r in debug_dump(table, image)]
+        mapping, derived = resolve_ssns(image, "halos", params)
+        hooked_vas = {va for _, va in hooked}
+        hooked_rows = {row for row in rows if row[1] in hooked_vas}
+        assert len({name for name, _, _ in rows}) == len(rows)
+        assert {va for _, va, _ in hooked_rows} == hooked_vas
+        assert {(name, va) for name, va, _ in hooked_rows} <= hooked
+        assert {(name, ssn) for name, _, ssn in hooked_rows} == {
+            (name, mapping[name]) for name in derived
+        }
+        assert all(mapping[name] == ssn for name, _, ssn in rows)
+
+
 class TestResolveSsns:
     def test_halos_derives_only_hooked_stubs(self, monkeypatch):
         hooked = ("ZwFiller0003", "ZwFiller0020")
@@ -139,6 +183,7 @@ class TestResolveSsns:
     "dump, scan_exit",
     [
         pytest.param(repeated_name_dump, 1, id="repeated-name"),
+        pytest.param(second_hooked_dump, 0, id="second-hooked"),
         pytest.param(lambda: past_extent_dump(-4), 0, id="extent-minus-4"),
         pytest.param(lambda: past_extent_dump(0x100), 0, id="extent-plus-0x100"),
     ],
@@ -160,26 +205,91 @@ def test_scan_table_and_halos_agree(tmp_path, dump, scan_exit):
     assert set(json.loads(ssn.stdout)["derived"]) == {name for name, _ in hooked}
     ssns = json.loads(ssn.stdout)["ssns"]
     assert all(ssns[row["name"]] == row["ssn"] for row in rows), (rows, ssns)
+    # Sort numbers the same stubs, under the same names, by address; the
+    # probe stubs' numbers rise with their addresses, so it gives each
+    # name the rank of its halos number.
+    sort = runner.invoke(main, ["ssn", *common, "--method", "sort"])
+    assert sort.exit_code == 0, sort.output
+    by_address = json.loads(sort.stdout)["ssns"]
+    ranks = {name: rank for rank, name in enumerate(sorted(ssns, key=ssns.get))}
+    assert {name: by_address[name] for name in ssns} == ranks
 
 
 @pytest.mark.parametrize(
-    "dump, halos, prologue",
+    "dump, halos, prologue, sort",
     [
-        pytest.param(repeated_name_dump, ["ZwFiller0005 3 (derived)"], [], id="first-hooked"),
         pytest.param(
-            second_hooked_dump, ["ZwFiller0005 5"], ["ZwFiller0005 5"], id="second-hooked"
+            repeated_name_dump,
+            ["ZwFiller0005 3 (derived)"],
+            [],
+            ["ZwFiller0005 3"],
+            id="first-hooked",
+        ),
+        pytest.param(
+            second_hooked_dump,
+            ["ZwFiller0005 5"],
+            ["ZwFiller0005 5"],
+            ["ZwFiller0005 5"],
+            id="second-hooked",
         ),
     ],
 )
-def test_repeated_name_reads_its_first_address(tmp_path, dump, halos, prologue):
+def test_repeated_name_reads_its_first_address(tmp_path, dump, halos, prologue, sort):
     # The number and the derived mark both come from the first address the
     # name table gives the name, whichever of the two is hooked.
     path = tmp_path / "ntdll.bin"
     path.write_bytes(dump())
     runner = CliRunner()
-    for method, expected in (("halos", halos), ("prologue", prologue)):
+    for method, expected in (("halos", halos), ("prologue", prologue), ("sort", sort)):
         args = ["ssn", str(path), "--base", f"{NTDLL_BASE:x}", "--method", method]
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         lines = [line for line in result.stdout.splitlines() if line.startswith("ZwFiller0005 ")]
         assert lines == expected, method
+
+
+@pytest.mark.parametrize(
+    "dump, stub, scan_exit",
+    [
+        pytest.param(repeated_name_dump, 3, 1, id="first-hooked"),
+        pytest.param(second_hooked_dump, 5, 0, id="second-hooked"),
+    ],
+)
+def test_repeated_name_has_one_address_in_scan_and_table(tmp_path, dump, stub, scan_exit):
+    # ZwFiller0005 owns its first address, `stub`; the other address no name
+    # owns, so no command reads it as a stub.
+    path = tmp_path / "ntdll.bin"
+    path.write_bytes(dump())
+    common = [str(path), "--base", f"{NTDLL_BASE:x}", "--format", "json"]
+    va = f"0x{NTDLL_BASE + 0x1000 + stub * 32:016x}"
+    runner = CliRunner()
+    scan = runner.invoke(main, ["scan", *common])
+    assert scan.exit_code == scan_exit, scan.output
+    report = json.loads(scan.stdout)
+    assert report["mapped"] == 35
+    hooked = [(f["function"], f["expected_va"]) for f in report["ntdll"]]
+    assert hooked == ([("ZwFiller0005", va)] if scan_exit else [])
+    for extra in ([], ["--extra", "ZwFiller0005"]):
+        table = runner.invoke(main, ["table", *common, "--out", str(tmp_path / "t.bin"), *extra])
+        assert table.exit_code == 0, table.output
+        rows = json.loads(table.stdout)["entries"]
+        assert len({row["hash"] for row in rows}) == len(rows)
+        repeated = [(r["address"], r["ssn"]) for r in rows if r["name"] == "ZwFiller0005"]
+        assert repeated == ([(va, stub)] if scan_exit or extra else [])
+
+
+@pytest.mark.parametrize(
+    "dump",
+    [
+        pytest.param(repeated_name_dump, id="first-hooked"),
+        pytest.param(second_hooked_dump, id="second-hooked"),
+    ],
+)
+def test_shadowed_address_logged_once(caplog, dump):
+    image = loaded(dump())
+    with caplog.at_level(logging.WARNING, logger="hookscope"):
+        image.native_exports.canonical_by_rva
+        read_stubs(image)
+        scan_inline_hooks(image)
+    [record] = caplog.records
+    assert (record.name, record.args) == ("hookscope.image", (1, "ZwFiller0005"))

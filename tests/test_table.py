@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import pytest
@@ -17,7 +18,13 @@ from hookscope import (
     hash_name,
     serialize_list,
 )
-from hookscope.errors import MalformedBlob, MissingBaseFunction, SsnOutOfRange, TableFull
+from hookscope.errors import (
+    MalformedBlob,
+    MissingBaseFunction,
+    OutOfRange,
+    SsnOutOfRange,
+    TableFull,
+)
 from hookscope.fixtures import GarbageHook, NtdllSpec, build_synthetic_ntdll
 from hookscope.table import LIST_ENTRY_SIZE, STUB_ENTRY_SIZE, debug_dump
 
@@ -191,6 +198,14 @@ class TestStubSlots:
         table = assign_stub_slots(self._table(12), RewriteConfig(stub_base=STUB_BASE))
         assert table.entries[11].stub_slot == STUB_BASE + 0xDC
 
+    def test_slot_past_64_bits_is_typed_error(self):
+        config = RewriteConfig(stub_base=2**64 - 0x28)
+        assert config.stub_slot(1) == 2**64 - 0x14
+        with pytest.raises(OutOfRange):
+            config.stub_slot(2)
+        with pytest.raises(OutOfRange):
+            assign_stub_slots(self._table(3), config)
+
     def test_config_sizes_pinned(self):
         assert LIST_ENTRY_SIZE == 0x28
         assert STUB_ENTRY_SIZE == 0x14
@@ -261,6 +276,18 @@ class TestSerialization:
         blob = struct.pack("<Q", 10_000) + b"\x00" * 48
         with pytest.raises(MalformedBlob):
             deserialize_list(blob)
+
+    @pytest.mark.parametrize("field", ["ssn", "address", "syscall_ret", "stub_slot", "name_hash"])
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_field_outside_64_bits_is_typed_error(self, field, value):
+        entry = SyscallInfo(ssn=1, address=2, syscall_ret=3, stub_slot=4, name_hash=5)
+        entries = (dataclasses.replace(entry, **{field: value}),)
+        with pytest.raises(OutOfRange):
+            serialize_list(SyscallList(entries=entries, base_indices=(0,) * 6))
+
+    def test_base_index_outside_64_bits_is_typed_error(self):
+        with pytest.raises(OutOfRange):
+            serialize_list(SyscallList(entries=(), base_indices=(0, 0, 0, 0, 0, -1)))
 
     def test_capacity_rejected_in_constructor(self):
         entries = tuple(
