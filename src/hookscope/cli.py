@@ -37,20 +37,12 @@ def _parse_base(value: str | None) -> int:
         raise click.UsageError(f"--base {value!r} is not a hex address")
 
 
-def _load_image(path: str, layout: str, base: str | None):
+def _load_image(path: str, base: str | None, layout: str = "loaded"):
     kind = Layout.FILE if layout == "file" else Layout.LOADED
     if kind is Layout.LOADED and base is None:
         raise click.UsageError("loaded-layout input requires --base")
     data = Path(path).read_bytes()
     return parse_image(data, kind, _parse_base(base))
-
-
-def _params(stride: int, max_neighbours: int, scan_limit: int) -> SsnSearchParams:
-    return SsnSearchParams(
-        max_neighbours=max_neighbours,
-        stride_bytes=stride,
-        syscall_scan_limit=scan_limit,
-    )
 
 
 def _fail(exc: Exception) -> "click.exceptions.Exit":
@@ -80,23 +72,30 @@ def _prints_output(work):
     return command
 
 
-layout_option = click.option(
-    "--layout", type=click.Choice(["file", "loaded"]), default="loaded", show_default=True
-)
 base_option = click.option("--base", default=None, help="Image base address (hex).")
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
 )
-# The bounds are those SsnSearchParams enforces, so a bad value is a usage error.
-stride_option = click.option(
-    "--stride", type=click.IntRange(min=1), default=32, show_default=True
-)
-neighbours_option = click.option(
-    "--max-neighbours", type=click.IntRange(min=0), default=500, show_default=True
-)
-scan_limit_option = click.option(
-    "--scan-limit", type=click.IntRange(min=2), default=512, show_default=True
-)
+
+
+def _ssn_search_options(command):
+    """Declare --stride, --max-neighbours and --scan-limit, and hand `command`
+    their values as one SsnSearchParams, `params`.
+
+    The bounds are those SsnSearchParams enforces, so a bad value is a usage error.
+    """
+
+    @click.option("--stride", type=click.IntRange(min=1), default=32, show_default=True)
+    @click.option("--max-neighbours", type=click.IntRange(min=0), default=500, show_default=True)
+    @click.option("--scan-limit", type=click.IntRange(min=2), default=512, show_default=True)
+    @functools.wraps(command)
+    def with_params(stride: int, max_neighbours: int, scan_limit: int, **kwargs):
+        params = SsnSearchParams(
+            max_neighbours=max_neighbours, stride_bytes=stride, syscall_scan_limit=scan_limit
+        )
+        return command(params=params, **kwargs)
+
+    return with_params
 
 
 @click.group()
@@ -115,27 +114,17 @@ def _looks_like_spec(path: Path) -> bool:
 
 @main.command()
 @click.argument("input", type=click.Path(exists=True, dir_okay=False))
-@layout_option
 @base_option
 @format_option
 @_prints_output
-def scan(input: str, layout: str, base: str | None, fmt: str) -> tuple[str, int]:
+def scan(input: str, base: str | None, fmt: str) -> tuple[str, int]:
     """Scan for inline hooks (PE image) or inline + IAT hooks (process spec)."""
-    path = Path(input)
-    output = ""
-    if _looks_like_spec(path):
-        process = load_process_spec(path)
-        report = build_report(process=process)
-        if fmt == "text":
-            output = "[+] Listing loaded modules\n-----\n"
-            for entry in process.modules:
-                output += f"{entry.name} is loaded at 0x{entry.base:016x}.\n"
-            output += "\n"
+    if _looks_like_spec(Path(input)):
+        report = build_report(process=load_process_spec(input))
     else:
-        report = build_report(ntdll=_load_image(input, layout, base))
-    output += render_report(report, fmt == "json")
+        report = build_report(ntdll=_load_image(input, base))
     findings = bool(report.ntdll_findings) or any(report.per_module.values())
-    return output, EXIT_FINDINGS if findings else EXIT_CLEAN
+    return render_report(report, fmt == "json"), EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
 @main.command()
@@ -146,12 +135,12 @@ def scan(input: str, layout: str, base: str | None, fmt: str) -> tuple[str, int]
     required=True,
     help="Resolution route: direct prologue read, address-sorted Zw index, or neighbor derivation.",
 )
-@layout_option
+@click.option(
+    "--layout", type=click.Choice(["file", "loaded"]), default="loaded", show_default=True
+)
 @base_option
 @format_option
-@stride_option
-@neighbours_option
-@scan_limit_option
+@_ssn_search_options
 @_prints_output
 def ssn(
     ntdll: str,
@@ -159,13 +148,11 @@ def ssn(
     layout: str,
     base: str | None,
     fmt: str,
-    stride: int,
-    max_neighbours: int,
-    scan_limit: int,
+    params: SsnSearchParams,
 ) -> tuple[str, int]:
     """Resolve service numbers for the Nt/Zw exports of an ntdll-like image."""
-    image = _load_image(ntdll, layout, base)
-    mapping, derived = resolve_ssns(image, method, _params(stride, max_neighbours, scan_limit))
+    image = _load_image(ntdll, base, layout)
+    mapping, derived = resolve_ssns(image, method, params)
     if fmt == "json":
         doc = {"method": method, "ssns": mapping, "derived": derived}
         return json.dumps(doc) + "\n", EXIT_CLEAN
@@ -184,9 +171,7 @@ def ssn(
 @click.option("--extra", multiple=True, help="Additional function names to include.")
 @base_option
 @format_option
-@stride_option
-@neighbours_option
-@scan_limit_option
+@_ssn_search_options
 @_prints_output
 def table(
     ntdll: str,
@@ -195,9 +180,7 @@ def table(
     extra: tuple[str, ...],
     base: str | None,
     fmt: str,
-    stride: int,
-    max_neighbours: int,
-    scan_limit: int,
+    params: SsnSearchParams,
 ) -> tuple[str, int]:
     """Build the syscall table over an ntdll image; write blob + JSON dump."""
     json_path = Path(json_out) if json_out else Path(out).with_suffix(".json")
@@ -206,8 +189,7 @@ def table(
     for path in (out, json_path):
         if os.path.realpath(path) == os.path.realpath(ntdll):
             raise click.UsageError(f"output path {path} is the input {ntdll}")
-    image = _load_image(ntdll, "loaded", base)
-    params = _params(stride, max_neighbours, scan_limit)
+    image = _load_image(ntdll, base)
     built = build_syscall_list(image, params, extra_names=extra)
     blob = serialize_list(built)
     Path(out).write_bytes(blob)
@@ -232,9 +214,7 @@ def table(
 @click.option("--target", "targets", multiple=True, help="Module to rewrite (ordered).")
 @click.option("--force", "forced", multiple=True, help="Target with table growth enabled.")
 @format_option
-@stride_option
-@neighbours_option
-@scan_limit_option
+@_ssn_search_options
 @_prints_output
 def simulate(
     process_spec: str,
@@ -242,13 +222,10 @@ def simulate(
     targets: tuple[str, ...],
     forced: tuple[str, ...],
     fmt: str,
-    stride: int,
-    max_neighbours: int,
-    scan_limit: int,
+    params: SsnSearchParams,
 ) -> tuple[str, int]:
     """Plan and apply the IAT rewrite, then resolve every Nt/Zw import."""
     process = load_process_spec(process_spec)
-    params = _params(stride, max_neighbours, scan_limit)
     if table_blob is not None:
         built = deserialize_list(Path(table_blob).read_bytes())
     else:

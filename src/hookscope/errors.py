@@ -40,7 +40,8 @@ class UnmappedRva(HookscopeError):
 
 
 class OutOfRange(HookscopeError):
-    """A read outside the mapped extent, or a value outside its 64-bit field."""
+    """A read outside the mapped extent, a value outside its 64-bit field, or a
+    loaded image placed outside the 64-bit address space."""
 
 
 class WrongLayout(HookscopeError):

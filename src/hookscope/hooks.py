@@ -51,6 +51,8 @@ class ScanReport:
     ntdll_findings: tuple[HookFinding, ...]
     per_module: Mapping[str, tuple[HookFinding, ...]]
     mapped_function_count: int
+    # (name, base) of each module of a scanned process, ntdll first.
+    loaded_modules: tuple[tuple[str, int], ...] = ()
 
 
 def decode_jmp_rel32(entry_va: int, prologue: bytes) -> int:
@@ -160,7 +162,10 @@ def finding_to_json(finding: HookFinding) -> dict:
 
 
 def render_report(report: ScanReport, as_json: bool) -> str:
-    """Render a scan report as JSON, or as text in the familiar listing shape."""
+    """Render a scan report as JSON, or as text in the familiar listing shape.
+
+    The text lists a scanned process's modules first; JSON leaves them out.
+    """
     if as_json:
         doc = {
             "ntdll": [finding_to_json(f) for f in report.ntdll_findings],
@@ -172,7 +177,12 @@ def render_report(report: ScanReport, as_json: bool) -> str:
         }
         return json.dumps(doc) + "\n"
 
-    lines = ["[+] Listing ntdll Nt/Zw functions", "-----"]
+    lines = []
+    if report.loaded_modules:
+        lines += ["[+] Listing loaded modules", "-----"]
+        lines += [f"{name} is loaded at {_hex(base)}." for name, base in report.loaded_modules]
+        lines.append("")
+    lines += ["[+] Listing ntdll Nt/Zw functions", "-----"]
     for f in report.ntdll_findings:
         lines.append(f"{f.function} is hooked")
     lines.append(f"Mapped {report.mapped_function_count} functions")
@@ -208,4 +218,7 @@ def build_report(
             else {}
         ),
         mapped_function_count=mapped_function_count(ntdll),
+        loaded_modules=(
+            tuple((m.name, m.base) for m in process.modules) if process is not None else ()
+        ),
     )

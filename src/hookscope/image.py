@@ -23,7 +23,6 @@ from .errors import (
     OutOfRange,
     Truncated,
     UnmappedRva,
-    WrongLayout,
 )
 
 log = logging.getLogger(__name__)
@@ -156,8 +155,11 @@ def parse_image(data: bytes, layout: Layout, image_base: int = 0) -> PeImage:
 
     For Layout.FILE the image base is read from the optional header and the
     argument is ignored; for Layout.LOADED the caller states the base address
-    the dump was captured at.
+    the dump was captured at, and the image must lie inside the 64-bit address
+    space (OutOfRange otherwise).
     """
+    if layout is Layout.LOADED and not 0 <= image_base <= (1 << 64) - len(data):
+        raise OutOfRange(f"{len(data):#x} bytes at base {image_base:#x} leave the 64-bit space")
     warnings: list[str] = []
     if len(data) < 64:
         raise Truncated(f"buffer of {len(data)} bytes is shorter than a DOS header")
@@ -310,20 +312,6 @@ def read_at_rva(image: PeImage, rva: int, length: int) -> bytes:
     end = rva_to_offset(image, rva + length - 1) if length else off
     if length and end != off + length - 1:
         raise UnmappedRva(f"range {rva:#x}+{length:#x} spans unmapped bytes")
-    return image.data[off : off + length]
-
-
-def read_bytes_at_va(image: PeImage, va: int, length: int) -> bytes:
-    """Read bytes at a virtual address from a loaded-layout image."""
-    if image.layout is not Layout.LOADED:
-        raise WrongLayout("virtual-address reads require a loaded-layout image")
-    if length < 0:
-        raise OutOfRange(f"negative length {length}")
-    if va < image.image_base:
-        raise OutOfRange(f"va {va:#x} below image base {image.image_base:#x}")
-    off = va - image.image_base
-    if off + length > image.extent:
-        raise OutOfRange(f"va {va:#x}+{length:#x} past mapped extent")
     return image.data[off : off + length]
 
 

@@ -12,7 +12,13 @@ import pytest
 from click.testing import CliRunner
 
 from hookscope.cli import main
-from hookscope.errors import SpecInvalid, UnresolvedImport
+from hookscope.errors import (
+    HookscopeError,
+    NoCleanNeighbor,
+    SpecInvalid,
+    SyscallNotFound,
+    UnresolvedImport,
+)
 import hookscope.cli
 import hookscope.image
 from hookscope import BASE_FUNCTIONS, PeImage, ProcessModel
@@ -364,9 +370,13 @@ def _module(doc, i, **fields):
         lambda doc: doc["modules"][0]["inline_fixture"].update(functions=[["ZwA"]]),
         lambda doc: doc["modules"][1].update(inline_fixture=["module"]),
         lambda doc: doc.update(modules=3),
+        # 4 KiB below 2^64: either image ends past the 64-bit address space
+        lambda doc: doc["modules"][0].update(base="0xfffffffffffff000"),
+        lambda doc: doc["modules"][1].update(base="0xfffffffffffff000"),
     ],
     ids=["module-not-object", "name-not-string", "path-not-string", "function-not-pair",
-         "fixture-not-object", "modules-not-list"],
+         "fixture-not-object", "modules-not-list", "ntdll-past-64-bits",
+         "module-past-64-bits"],
 )
 @pytest.mark.parametrize("command", ["scan", "simulate"])
 def test_malformed_spec_exit_two(runner, tmp_path, malform, command):
@@ -392,14 +402,99 @@ def test_oversized_stub_region_rejected_before_allocation(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "option, value", [("--stride", "0"), ("--max-neighbours", "-1"), ("--scan-limit", "1")]
+    "command, option, value",
+    [
+        pytest.param(command, option, value, id=f"{prefix}{option}-{value}")
+        for command, prefix in (("simulate", ""), ("ssn", "ssn-"), ("table", "table-"))
+        for option, value in (("--stride", "0"), ("--max-neighbours", "-1"), ("--scan-limit", "1"))
+    ],
 )
-def test_out_of_range_search_option_is_usage_error(runner, tmp_path, option, value):
-    path = write_spec(tmp_path, scenario_spec_doc())
-    result = runner.invoke(main, ["simulate", str(path), option, value])
+def test_out_of_range_search_option_is_usage_error(
+    runner, scenario_files, command, option, value
+):
+    result = runner.invoke(main, search_command(scenario_files, command) + [option, value])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"Invalid value for '{option}'" in result.output
+
+
+def search_command(files, command):
+    """A JSON-format run of a command that takes the SSN search options, on
+    the scenario files."""
+    ntdll = [str(files["ntdll"]), "--base", files["base"]]
+    return {
+        "ssn": ["ssn", *ntdll, "--method", "halos"],
+        "table": ["table", *ntdll, "--out", str(files["tmp"] / "t.bin")],
+        "simulate": ["simulate", str(files["spec"]), "--target", "kernelbase"],
+    }[command] + ["--format", "json"]
+
+
+def typed_error(result):
+    """The type of the HookscopeError behind a command's exit."""
+    exc = result.exception
+    while exc is not None and not isinstance(exc, HookscopeError):
+        exc = exc.__context__
+    return type(exc)
+
+
+class TestSsnSearchOptions:
+    """Each search option's value reaches the library in every command that
+    declares it."""
+
+    @pytest.mark.parametrize("command", ["ssn", "table", "simulate"])
+    def test_no_neighbours_leaves_hooked_stubs_underived(self, runner, scenario_files, command):
+        args = search_command(scenario_files, command) + ["--max-neighbours", "0"]
+        result = runner.invoke(main, args)
+        assert_typed_exit(result)
+        assert typed_error(result) is NoCleanNeighbor
+
+    @pytest.mark.parametrize("command", ["table", "simulate"])
+    def test_scan_limit_short_of_the_syscall(self, runner, scenario_files, command):
+        # each stub's syscall instruction sits at offset 0x12
+        args = search_command(scenario_files, command)
+        assert runner.invoke(main, args + ["--scan-limit", "20"]).exit_code == 0
+        result = runner.invoke(main, args + ["--scan-limit", "18"])
+        assert_typed_exit(result)
+        assert typed_error(result) is SyscallNotFound
+
+    @staticmethod
+    def _create_user_process_ssn(command, doc):
+        if command == "ssn":
+            return doc["ssns"]["ZwCreateUserProcess"]
+        if command == "table":
+            [row] = [row for row in doc["entries"] if row["name"] == "ZwCreateUserProcess"]
+            return row["ssn"]
+        [trace] = [t for t in doc["traces"] if t["function"] == "NtCreateUserProcess"]
+        [lookup] = [step for step in trace["steps"] if step["step"] == "table_lookup"]
+        return lookup["ssn"]
+
+    @pytest.mark.parametrize("command", ["ssn", "table", "simulate"])
+    def test_stride_sets_the_neighbour_distance(self, runner, scenario_files, command):
+        # ZwCreateUserProcess (201) is hooked; at a 64-byte stride its nearest
+        # intact neighbour is stub 199, one stride below, so it derives 200
+        args = search_command(scenario_files, command)
+        numbers = []
+        for stride in ("32", "64"):
+            result = runner.invoke(main, args + ["--stride", stride])
+            assert result.exit_code == 0, result.output
+            numbers.append(self._create_user_process_ssn(command, json.loads(result.output)))
+        assert numbers == [201, 200]
+
+
+@pytest.mark.parametrize("base", ["-10", "10000000000000000", "ffffffffffffffff"])
+@pytest.mark.parametrize("command", [["scan"], ["ssn", "--method", "halos"]], ids=["scan", "ssn"])
+def test_base_outside_64_bits_exit_two(runner, tmp_path, command, base):
+    image = build_synthetic_ntdll(
+        NtdllSpec(
+            functions=positioned_functions(16, {5: "NtCreateProcess"}),
+            hooks={"NtCreateProcess": GarbageHook()},
+        )
+    )
+    dump = tmp_path / "hooked.dump"
+    dump.write_bytes(image.data)
+    result = runner.invoke(main, [command[0], str(dump), *command[1:], "--base", base])
+    assert_typed_exit(result)
+    assert "64-bit" in result.output
 
 
 class TestScanCommand:
@@ -421,10 +516,45 @@ class TestScanCommand:
         dump.write_bytes(image.data)
         result = runner.invoke(
             main,
-            ["scan", str(dump), "--layout", "loaded", "--base", f"{image.image_base:x}"],
+            ["scan", str(dump), "--base", f"{image.image_base:x}"],
         )
         assert result.exit_code == 1
         assert "NtCreateProcess is hooked" in result.output
+
+    def test_layout_is_not_an_option(self, runner, tmp_path, scenario_ntdll):
+        dump = tmp_path / "ntdll.dump"
+        dump.write_bytes(scenario_ntdll.data)
+        result = runner.invoke(main, ["scan", str(dump), "--layout", "file", "--base", "0"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--layout" in result.output
+
+    def test_process_spec_text_listing(self, runner, tmp_path):
+        path = write_spec(
+            tmp_path, scenario_spec_doc(tamper={"NtOpenProcess": 0x00007FF9E132D610})
+        )
+        result = runner.invoke(main, ["scan", str(path)])
+        assert result.exit_code == 1
+        hooked = sorted(prefix + name[2:] for name in HOOKED_NAMES for prefix in ("Nt", "Zw"))
+        assert result.output == "".join(
+            [
+                "[+] Listing loaded modules\n",
+                "-----\n",
+                "ntdll is loaded at 0x00007ffeb24f0000.\n",
+                "kernelbase is loaded at 0x00007ffeafbd0000.\n",
+                "\n",
+                "[+] Listing ntdll Nt/Zw functions\n",
+                "-----\n",
+                *(f"{name} is hooked\n" for name in hooked),
+                "Mapped 404 functions\n",
+                "\n",
+                "[+] Listing hooked modules\n",
+                "-----\n",
+                "Checking ntdll.dll at kernelbase IAT\n",
+                "|-- kernelbase IAT to ntdll.dll of function NtOpenProcess"
+                " is hooked to 0x00007ff9e132d610\n",
+                "+-- 1 hooked functions.\n",
+            ]
+        )
 
     def test_missing_file_exit_two(self, runner):
         result = runner.invoke(main, ["scan", "/nonexistent/file.bin"])
@@ -434,7 +564,7 @@ class TestScanCommand:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"MZ" + b"\x00" * 40)
         result = runner.invoke(
-            main, ["scan", str(bad), "--layout", "loaded", "--base", "0"]
+            main, ["scan", str(bad), "--base", "0"]
         )
         assert result.exit_code == 2
         assert "error:" in result.output

@@ -15,7 +15,6 @@ from hookscope import (
     enumerate_exports,
     enumerate_imports,
     parse_image,
-    read_bytes_at_va,
     rva_to_offset,
 )
 from hookscope.errors import (
@@ -62,6 +61,21 @@ class TestParseImage:
         image = parse_image(data, Layout.LOADED, image_base=0x00007FFEAFBD0000)
         assert image.directories[DataDirectory.IAT] == (0x1E48B8, 0x1688)
         assert image.image_base == 0x00007FFEAFBD0000
+
+    @pytest.mark.parametrize(
+        "base, fits",
+        [(0, True), ((1 << 64) - 0x400, True), (-1, False), ((1 << 64) - 0x3FF, False)],
+    )
+    def test_loaded_image_lies_inside_64_bits(self, base, fits):
+        data = build_header_only_pe()
+        assert len(data) == 0x400
+        if fits:
+            assert parse_image(data, Layout.LOADED, base).image_base == base
+        else:
+            with pytest.raises(OutOfRange):
+                parse_image(data, Layout.LOADED, base)
+        # the file layout reads its base from the header and ignores the argument
+        assert parse_image(data, Layout.FILE, base).image_base == 0x140000000
 
     def test_63_byte_buffer_truncated(self):
         with pytest.raises(Truncated):
@@ -611,26 +625,6 @@ class TestEnumerateImports:
         image, resolver = self._module(imports)
         [module] = enumerate_imports(image)
         assert module.slots[0].imported_name == 7
-
-
-class TestReadBytesAtVa:
-    def test_header_bytes_at_base(self, scenario_ntdll):
-        data = read_bytes_at_va(scenario_ntdll, scenario_ntdll.image_base, 2)
-        assert data == b"MZ"
-
-    def test_clean_stub_head(self, clean_478_ntdll):
-        va = clean_478_ntdll.image_base + 0x1000
-        assert read_bytes_at_va(clean_478_ntdll, va, 4) == b"\x4c\x8b\xd1\xb8"
-
-    def test_past_extent(self, clean_478_ntdll):
-        with pytest.raises(OutOfRange):
-            read_bytes_at_va(
-                clean_478_ntdll, clean_478_ntdll.image_base + clean_478_ntdll.extent, 1
-            )
-
-    def test_below_base(self, clean_478_ntdll):
-        with pytest.raises(OutOfRange):
-            read_bytes_at_va(clean_478_ntdll, clean_478_ntdll.image_base - 1, 1)
 
 
 class TestParseTotality:
