@@ -82,12 +82,15 @@ def _ssn_search_options(command):
     """Declare --stride, --max-neighbours and --scan-limit, and hand `command`
     their values as one SsnSearchParams, `params`.
 
-    The bounds are those SsnSearchParams enforces, so a bad value is a usage error.
+    The defaults are SsnSearchParams' own, and the bounds those it enforces,
+    so a bad value is a usage error.
     """
+    default = SsnSearchParams()
+    option = functools.partial(click.option, show_default=True)
 
-    @click.option("--stride", type=click.IntRange(min=1), default=32, show_default=True)
-    @click.option("--max-neighbours", type=click.IntRange(min=0), default=500, show_default=True)
-    @click.option("--scan-limit", type=click.IntRange(min=2), default=512, show_default=True)
+    @option("--stride", type=click.IntRange(min=1), default=default.stride_bytes)
+    @option("--max-neighbours", type=click.IntRange(min=0), default=default.max_neighbours)
+    @option("--scan-limit", type=click.IntRange(min=2), default=default.syscall_scan_limit)
     @functools.wraps(command)
     def with_params(stride: int, max_neighbours: int, scan_limit: int, **kwargs):
         params = SsnSearchParams(

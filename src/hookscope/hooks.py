@@ -13,14 +13,11 @@ import logging
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-from .image import PeImage, _hex, _is_native_name
-from .simulate import ntdll_descriptors
+from .image import PeImage, _hex
+from .simulate import ProcessModel, ntdll_slots
 from .ssn import read_stubs
-
-if TYPE_CHECKING:
-    from .simulate import ProcessModel
 
 log = logging.getLogger(__name__)
 
@@ -101,7 +98,7 @@ def mapped_function_count(ntdll: PeImage) -> int:
     return len(ntdll.native_exports.owner)
 
 
-def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
+def scan_iat_hooks(process: ProcessModel) -> dict[str, list[HookFinding]]:
     """Compare each module's ntdll-bound slots against the true export VAs.
 
     Returns one entry per module that references ntdll (empty list when all
@@ -112,32 +109,29 @@ def scan_iat_hooks(process: "ProcessModel") -> dict[str, list[HookFinding]]:
 
     results: dict[str, list[HookFinding]] = {}
     for module in process.modules[1:]:
-        descriptors = ntdll_descriptors(module.image, ntdll.name)
-        if not descriptors:
+        slots = ntdll_slots(module.image, ntdll.name)
+        if slots is None:
             continue
         findings: list[HookFinding] = []
         unexported: list[str] = []
-        for imported in descriptors:
-            for slot in imported.slots:
-                name = slot.imported_name
-                if not _is_native_name(name):
-                    continue
-                rva = index.resolve(name)
-                if rva is None:
-                    unexported.append(name)
-                    continue
-                expected = ntdll.base + rva
-                if slot.bound_value != expected:
-                    findings.append(
-                        HookFinding(
-                            kind=HookKind.IAT_MISMATCH,
-                            module=module.name,
-                            function=name,
-                            expected_va=expected,
-                            observed_va=slot.bound_value,
-                            detail=HookDetail.SLOT_REDIRECTED,
-                        )
+        for slot in slots:
+            name = slot.imported_name
+            rva = index.resolve(name)
+            if rva is None:
+                unexported.append(name)
+                continue
+            expected = ntdll.base + rva
+            if slot.bound_value != expected:
+                findings.append(
+                    HookFinding(
+                        kind=HookKind.IAT_MISMATCH,
+                        module=module.name,
+                        function=name,
+                        expected_va=expected,
+                        observed_va=slot.bound_value,
+                        detail=HookDetail.SLOT_REDIRECTED,
                     )
+                )
         if unexported:
             log.warning(
                 "%s imports %d names from ntdll that ntdll does not export; skipped (first: %s)",
@@ -203,7 +197,7 @@ def render_report(report: ScanReport, as_json: bool) -> str:
 
 def build_report(
     ntdll: PeImage | None = None,
-    process: "ProcessModel | None" = None,
+    process: ProcessModel | None = None,
 ) -> ScanReport:
     """Compose a report from an inline scan, an IAT scan, or both."""
     if process is not None and ntdll is None:

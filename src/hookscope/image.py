@@ -487,9 +487,7 @@ def enumerate_imports(image: PeImage) -> list[ImportModule]:
     dir_rva = directory[0]
 
     modules: list[ImportModule] = []
-    for idx in range(_MAX_IMPORT_DESCRIPTORS + 1):
-        if idx == _MAX_IMPORT_DESCRIPTORS:
-            raise CorruptDirectory("import descriptor table does not terminate")
+    for idx in range(_MAX_IMPORT_DESCRIPTORS):
         desc_rva = dir_rva + idx * 20
         try:
             desc = read_at_rva(image, desc_rva, 20)
@@ -497,9 +495,7 @@ def enumerate_imports(image: PeImage) -> list[ImportModule]:
             raise CorruptDirectory(f"import descriptor {idx} unreadable: {exc}") from exc
         if desc == b"\x00" * 20:
             break
-        lookup_rva = struct.unpack_from("<I", desc, 0)[0]
-        name_rva = struct.unpack_from("<I", desc, 12)[0]
-        iat_rva = struct.unpack_from("<I", desc, 16)[0]
+        lookup_rva, _, _, name_rva, iat_rva = struct.unpack("<5I", desc)
 
         dll_name = _read_cstring(image, name_rva)
         if dll_name is None:
@@ -512,9 +508,7 @@ def enumerate_imports(image: PeImage) -> list[ImportModule]:
             lookup_rva = iat_rva
 
         slots: list[IatSlot] = []
-        for k in range(_MAX_IMPORT_SLOTS + 1):
-            if k == _MAX_IMPORT_SLOTS:
-                raise CorruptDirectory(f"import thunks for {dll_name!r} do not terminate")
+        for k in range(_MAX_IMPORT_SLOTS):
             try:
                 lookup_val = _u64(read_at_rva(image, lookup_rva + 8 * k, 8), 0)
             except (Truncated, UnmappedRva):
@@ -537,6 +531,10 @@ def enumerate_imports(image: PeImage) -> list[ImportModule]:
                 log.warning("IAT slot %d of %r outside the buffer; skipped", k, dll_name)
                 continue
             slots.append(IatSlot(name_or_ordinal, iat_rva + 8 * k, bound))
+        else:
+            raise CorruptDirectory(f"import thunks for {dll_name!r} do not terminate")
         modules.append(ImportModule(dll_name, tuple(slots)))
+    else:
+        raise CorruptDirectory("import descriptor table does not terminate")
     return modules
 

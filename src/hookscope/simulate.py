@@ -13,7 +13,7 @@ import functools
 import json
 import struct
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from .errors import (
     CorruptSlot,
@@ -24,7 +24,7 @@ from .errors import (
     TargetNotLoaded,
     UnknownImport,
 )
-from .image import IatSlot, ImportModule, PeImage, enumerate_imports, rva_to_offset
+from .image import IatSlot, PeImage, enumerate_imports, rva_to_offset
 from .image import _hex, _is_native_name
 from .ssn import SsnSearchParams
 from .table import (
@@ -202,18 +202,19 @@ class ResolvedCall:
     verdict: ChainVerdict
 
 
-def ntdll_descriptors(image: PeImage, ntdll_name: str) -> list[ImportModule]:
-    """The image's import descriptors that name ntdll, in import-table order."""
+def ntdll_slots(image: PeImage, ntdll_name: str) -> Optional[list[IatSlot]]:
+    """The image's Nt/Zw slots imported from ntdll, in import-table order.
+
+    Every descriptor whose name `normalize_module_name` matches `ntdll_name`
+    contributes. None when no descriptor names ntdll, so a module that imports
+    only other names from ntdll (an empty list) stays apart from one that does
+    not import from ntdll at all.
+    """
     wanted = normalize_module_name(ntdll_name)
-    return [d for d in enumerate_imports(image) if normalize_module_name(d.dll_name) == wanted]
-
-
-def _native_ntdll_slots(module: ModuleEntry, ntdll_name: str) -> Iterator[IatSlot]:
-    """The module's Nt/Zw slots imported from ntdll, in import-table order."""
-    for imported in ntdll_descriptors(module.image, ntdll_name):
-        for slot in imported.slots:
-            if _is_native_name(slot.imported_name):
-                yield slot
+    named = [d for d in enumerate_imports(image) if normalize_module_name(d.dll_name) == wanted]
+    if not named:
+        return None
+    return [slot for d in named for slot in d.slots if _is_native_name(slot.imported_name)]
 
 
 def plan_rewrite(
@@ -243,7 +244,7 @@ def plan_rewrite(
         module = process.find(target_name)
         if module is None:
             raise TargetNotLoaded(f"target module {target_name!r} is not loaded")
-        for slot in _native_ntdll_slots(module, ntdll.name):
+        for slot in ntdll_slots(module.image, ntdll.name) or ():
             rva = index.resolve(slot.imported_name)
             if rva is None:
                 continue
@@ -365,32 +366,19 @@ def resolve_call(
     imported_fn: str,
     table: SyscallList,
 ) -> CallTrace:
-    """Trace one call through the first caller slot importing `imported_fn`.
+    """Trace one call through the first `ntdll_slots` slot named `imported_fn`.
 
-    An Nt/Zw name is looked up among the slots imported from ntdll first, as
-    `resolve_imports` walks them; otherwise, and for any other name, the
-    first slot with that name across all of the caller's import descriptors
-    is used. The slot is traced as `_trace_slot` describes. To trace every
-    Nt/Zw import of a module, use `resolve_imports`, which walks the imports
-    and serializes the table once.
+    Only an Nt/Zw name the caller imports from ntdll resolves; any other name,
+    an Nt/Zw name taken from another module included, raises `UnknownImport`.
+    The slot is traced as `_trace_slot` describes. To trace every Nt/Zw
+    import of a module, use `resolve_imports`, which walks the imports and
+    serializes the table once.
     """
     caller = process.find(caller_module)
     if caller is None:
         raise UnknownImport(f"module {caller_module!r} is not loaded")
-    wanted = normalize_module_name(process.ntdll().name) if _is_native_name(imported_fn) else None
-    descriptors = sorted(
-        enumerate_imports(caller.image),
-        key=lambda imported: normalize_module_name(imported.dll_name) != wanted,
-    )
-    slot = next(
-        (
-            candidate
-            for imported in descriptors
-            for candidate in imported.slots
-            if candidate.imported_name == imported_fn
-        ),
-        None,
-    )
+    slots = ntdll_slots(caller.image, process.ntdll().name) or ()
+    slot = next((s for s in slots if s.imported_name == imported_fn), None)
     if slot is None:
         raise UnknownImport(f"{caller.name!r} does not import {imported_fn!r}")
     return _trace_slot(process, caller, slot, serialize_list(table))
@@ -414,7 +402,7 @@ def resolve_imports(
         module = process.find(target_name)
         if module is None:
             raise TargetNotLoaded(f"target module {target_name!r} is not loaded")
-        for slot in _native_ntdll_slots(module, ntdll_name):
+        for slot in ntdll_slots(module.image, ntdll_name) or ():
             trace = _trace_slot(process, module, slot, blob)
             results.append(
                 ResolvedCall(module.name, slot.imported_name, trace, verify_chain(trace, process))

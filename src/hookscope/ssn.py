@@ -68,13 +68,14 @@ def read_stubs(ntdll: PeImage) -> dict[int, Optional[int]]:
     prologue runs past the extent are left out and logged in one warning.
     """
     _require_loaded(ntdll)
+    extent, data = ntdll.extent, ntdll.data
     stubs: dict[int, Optional[int]] = {}
     outside: list[str] = []
     for name, rva in ntdll.native_exports.owner.items():
-        if rva + 8 > ntdll.extent:
+        if rva + 8 > extent:
             outside.append(name)
         elif rva not in stubs:
-            stubs[rva] = read_clean_ssn(ntdll.data[rva : rva + 8])
+            stubs[rva] = read_clean_ssn(data[rva : rva + 8])
     if outside:
         log.warning(
             "%d exports run past the mapped extent; skipped (first: %s)", len(outside), outside[0]

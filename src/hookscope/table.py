@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import MalformedBlob, MissingBaseFunction, OutOfRange, SyscallNotFound, TableFull
-from .image import PeImage
+from .image import PeImage, _hex
 from .ssn import (
     SsnSearchParams,
     derive_ssn_neighbors,
@@ -202,14 +202,14 @@ def debug_dump(table: SyscallList, ntdll: PeImage) -> list[dict]:
     rows = []
     for i, e in enumerate(table.entries):
         rva = e.address - ntdll.image_base
-        name = index.canonical_by_rva.get(rva, f"{e.address:#018x}")
+        name = index.canonical_by_rva.get(rva, _hex(e.address))
         rows.append(
             {
                 "index": i,
                 "name": name,
                 "ssn": e.ssn,
-                "address": f"0x{e.address:016x}",
-                "hash": f"0x{e.name_hash:016x}",
+                "address": _hex(e.address),
+                "hash": _hex(e.name_hash),
             }
         )
     return rows

@@ -19,6 +19,7 @@ from hookscope import (
 )
 from hookscope.errors import (
     BadMagic,
+    CorruptDirectory,
     HookscopeError,
     Not64Bit,
     OutOfRange,
@@ -625,6 +626,24 @@ class TestEnumerateImports:
         image, resolver = self._module(imports)
         [module] = enumerate_imports(image)
         assert module.slots[0].imported_name == 7
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ("_MAX_IMPORT_DESCRIPTORS", "import descriptor table does not terminate"),
+            ("_MAX_IMPORT_SLOTS", "import thunks for 'ntdll.dll' do not terminate"),
+        ],
+    )
+    def test_walk_bounds_are_exact(self, monkeypatch, bound, message):
+        # Two descriptors of two slots each: a bound of two leaves no room
+        # for the terminating entry, a bound of three just fits it.
+        imports = [("ntdll.dll", "NtA"), ("ntdll.dll", "NtB"), ("a.dll", "F"), ("a.dll", "G")]
+        image, _ = self._module(imports)
+        monkeypatch.setattr(hookscope.image, bound, 3)
+        assert len(enumerate_imports(image)) == 2
+        monkeypatch.setattr(hookscope.image, bound, 2)
+        with pytest.raises(CorruptDirectory, match=message):
+            enumerate_imports(image)
 
 
 class TestParseTotality:

@@ -23,6 +23,7 @@ from hookscope import (
     render_calls,
     resolve_call,
     resolve_imports,
+    scan_iat_hooks,
     serialize_list,
     simulate_rewrite,
     verify_chain,
@@ -54,6 +55,7 @@ from hookscope.simulate import (
     SyscallSite,
     TableLookup,
     normalize_module_name,
+    ntdll_slots,
     trace_to_json,
 )
 
@@ -334,6 +336,19 @@ class TestResolveCall:
         with pytest.raises(UnknownImport):
             resolve_call(process, "nosuchmodule", "NtCreateUserProcess", table)
 
+    @pytest.mark.parametrize("imported", ["NtClose", "RtlOpenCurrentUser"])
+    def test_name_outside_ntdll_slots_is_unknown(self, imported):
+        # NtClose is imported only from kernel32.dll; RtlOpenCurrentUser comes
+        # from ntdll.dll but is no Nt/Zw name. Neither is a slot ntdll_slots gives.
+        process = make_scenario_process(
+            extra_imports=(("kernel32.dll", "NtClose"),), tamper={"NtClose": 0x00007FFEA0001000}
+        )
+        table = assign_stub_slots(
+            build_syscall_list(process.ntdll().image, PARAMS), process.config
+        )
+        with pytest.raises(UnknownImport, match=imported):
+            resolve_call(process, "kernelbase", imported, table)
+
     def test_misaligned_stub_value_is_corrupt(self):
         process = make_scenario_process(tamper={"NtOpenProcess": STUB_BASE + 3})
         table = assign_stub_slots(
@@ -385,6 +400,63 @@ def native_ntdll_imports(process, module):
         for slot in imported.slots
         if slot.imported_name.startswith(("Nt", "Zw"))
     ]
+
+
+class TestNtdllSlots:
+    def test_scan_plan_and_trace_agree_on_the_slots(self, scenario_ntdll):
+        # An Nt name from kernel32.dll ahead of ntdll's, ntdll under two
+        # spellings, and an ordinal and an Rtl name that are no Nt/Zw slots.
+        imports = (
+            ("kernel32.dll", "NtOpenProcess"),
+            ("ntdll.dll", "NtOpenProcess"),
+            ("ntdll.dll", 7),
+            ("ntdll.dll", "RtlOpenCurrentUser"),
+            ("NTDLL.DLL", "ZwCreateSection"),
+            ("NTDLL.DLL", "NtDelayExecution"),
+        )
+        # Every slot holds its own foreign value, so the scan flags each slot it checks.
+        resolver = {imported: 0x00007FF9E1320000 + 0x10 * i for i, imported in enumerate(imports)}
+        module = build_synthetic_module(
+            ModuleSpec(name="caller", imports=imports), resolver, image_base=KERNELBASE_BASE
+        )
+        # A module that imports nothing from ntdll has no slots and no scan entry.
+        other = build_synthetic_module(
+            ModuleSpec(name="other", imports=(("kernel32.dll", "NtClose"),)),
+            {("kernel32.dll", "NtClose"): 0x00007FFEA0001000},
+            image_base=0x00007FFEAC000000,
+        )
+        process = build_process_model(
+            scenario_ntdll,
+            [("caller", module), ("other", other)],
+            RewriteConfig(stub_base=STUB_BASE),
+        )
+        assert ntdll_slots(other, process.ntdll().name) is None
+        slots = ntdll_slots(module, process.ntdll().name)
+        assert [s.imported_name for s in slots] == [
+            "NtOpenProcess",
+            "ZwCreateSection",
+            "NtDelayExecution",
+        ]
+        assert slots[0].bound_value == resolver[("ntdll.dll", "NtOpenProcess")]
+
+        [(scanned, findings)] = scan_iat_hooks(process).items()
+        assert scanned == "caller"
+        assert [(f.function, f.observed_va) for f in findings] == sorted(
+            (s.imported_name, s.bound_value) for s in slots
+        )
+
+        table = assign_stub_slots(build_syscall_list(scenario_ntdll, PARAMS), process.config)
+        plan = plan_rewrite(process, table, [("caller", False)])
+        assert [(e.function, e.slot_iat_rva, e.old_value) for e in plan.edits] == [
+            (s.imported_name, s.iat_rva, s.bound_value) for s in slots
+        ]
+
+        rewritten = apply_rewrite(process, plan)
+        calls = resolve_imports(rewritten, ["caller"], plan.table)
+        assert [(c.function, c.trace.steps[1].slot_va) for c in calls] == [
+            (s.imported_name, KERNELBASE_BASE + s.iat_rva) for s in slots
+        ]
+        assert all(c.verdict.passed for c in calls)
 
 
 class TestResolveImports:
