@@ -3,115 +3,75 @@ syscall-number resolution, and a symbolic IAT-rewrite simulator.
 
 Operates exclusively on files and synthetic in-memory image models; nothing
 here attaches to, reads, or modifies a running process.
+
+Each public name is imported from its home module on first use (PEP 562), so
+`import hookscope` loads no layer and a caller loads only the layers it uses.
 """
 
-from .errors import HookscopeError
-from .hooks import (
-    HookDetail,
-    HookFinding,
-    HookKind,
-    ScanReport,
-    build_report,
-    render_report,
-    scan_iat_hooks,
-    scan_inline_hooks,
-)
-from .image import (
-    DataDirectory,
-    ExportEntry,
-    IatSlot,
-    ImportModule,
-    Layout,
-    PeImage,
-    SectionView,
-    enumerate_exports,
-    enumerate_imports,
-    parse_image,
-    rva_to_offset,
-)
-from .simulate import (
-    CallTrace,
-    ChainVerdict,
-    ModuleEntry,
-    ProcessModel,
-    RewritePlan,
-    apply_rewrite,
-    plan_rewrite,
-    render_calls,
-    resolve_call,
-    resolve_imports,
-    simulate_rewrite,
-    verify_chain,
-)
-from .ssn import (
-    SsnSearchParams,
-    derive_ssn_by_sort,
-    derive_ssn_neighbors,
-    find_syscall_instruction,
-    hash_name,
-    read_clean_ssn,
-    resolve_ssns,
-)
-from .table import (
-    BASE_FUNCTIONS,
-    RewriteConfig,
-    SyscallInfo,
-    SyscallList,
-    assign_stub_slots,
-    build_syscall_list,
-    deserialize_list,
-    serialize_list,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HookscopeError",
-    "HookDetail",
-    "HookFinding",
-    "HookKind",
-    "ScanReport",
-    "build_report",
-    "render_report",
-    "scan_iat_hooks",
-    "scan_inline_hooks",
-    "DataDirectory",
-    "ExportEntry",
-    "IatSlot",
-    "ImportModule",
-    "Layout",
-    "PeImage",
-    "SectionView",
-    "enumerate_exports",
-    "enumerate_imports",
-    "parse_image",
-    "rva_to_offset",
-    "CallTrace",
-    "ChainVerdict",
-    "ModuleEntry",
-    "ProcessModel",
-    "RewritePlan",
-    "apply_rewrite",
-    "plan_rewrite",
-    "render_calls",
-    "resolve_call",
-    "resolve_imports",
-    "simulate_rewrite",
-    "verify_chain",
-    "SsnSearchParams",
-    "derive_ssn_by_sort",
-    "derive_ssn_neighbors",
-    "find_syscall_instruction",
-    "hash_name",
-    "read_clean_ssn",
-    "resolve_ssns",
-    "BASE_FUNCTIONS",
-    "RewriteConfig",
-    "SyscallInfo",
-    "SyscallList",
-    "assign_stub_slots",
-    "build_syscall_list",
-    "deserialize_list",
-    "serialize_list",
-    "__version__",
-]
+_HOMES = {
+    "HookscopeError": "errors",
+    "HookDetail": "hooks",
+    "HookFinding": "hooks",
+    "HookKind": "hooks",
+    "ScanReport": "hooks",
+    "build_report": "hooks",
+    "render_report": "hooks",
+    "scan_iat_hooks": "hooks",
+    "scan_inline_hooks": "hooks",
+    "DataDirectory": "image",
+    "ExportEntry": "image",
+    "IatSlot": "image",
+    "ImportModule": "image",
+    "Layout": "image",
+    "PeImage": "image",
+    "SectionView": "image",
+    "enumerate_exports": "image",
+    "enumerate_imports": "image",
+    "parse_image": "image",
+    "rva_to_offset": "image",
+    "CallTrace": "simulate",
+    "ChainVerdict": "simulate",
+    "ModuleEntry": "simulate",
+    "ProcessModel": "simulate",
+    "RewritePlan": "simulate",
+    "apply_rewrite": "simulate",
+    "plan_rewrite": "simulate",
+    "render_calls": "simulate",
+    "resolve_call": "simulate",
+    "resolve_imports": "simulate",
+    "simulate_rewrite": "simulate",
+    "verify_chain": "simulate",
+    "SsnSearchParams": "ssn",
+    "derive_ssn_by_sort": "ssn",
+    "derive_ssn_neighbors": "ssn",
+    "find_syscall_instruction": "ssn",
+    "hash_name": "ssn",
+    "read_clean_ssn": "ssn",
+    "resolve_ssns": "ssn",
+    "BASE_FUNCTIONS": "table",
+    "RewriteConfig": "table",
+    "SyscallInfo": "table",
+    "SyscallList": "table",
+    "assign_stub_slots": "table",
+    "build_syscall_list": "table",
+    "deserialize_list": "table",
+    "serialize_list": "table",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

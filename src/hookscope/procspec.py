@@ -98,13 +98,16 @@ def ntdll_spec_from_json(doc: Mapping[str, Any]) -> NtdllSpec:
         name: _hook_from_json(_object(h, f"hook of {name}"))
         for name, h in _object(doc.get("hooks", {}), "hooks").items()
     }
+    aliases = doc.get("alias_both_prefixes", False)
+    if not isinstance(aliases, bool):
+        raise SpecInvalid(f"alias_both_prefixes must be true or false, got {aliases!r}")
     return NtdllSpec(
         functions=functions,
         hooks=hooks,
         stride=_to_int(doc.get("stride", 32), "stride"),
         base_rva=_to_int(doc.get("base_rva", 0x1000), "base_rva"),
         syscall_offset=_to_int(doc.get("syscall_offset", 0x12), "syscall_offset"),
-        alias_both_prefixes=bool(doc.get("alias_both_prefixes", False)),
+        alias_both_prefixes=aliases,
     )
 
 

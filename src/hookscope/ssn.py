@@ -184,10 +184,10 @@ def resolve_ssns(
 
 
 def hash_name(name: str) -> int:
-    """Rotate-right-13 additive hash over the raw name bytes, 64-bit."""
+    """Rotate-right-13 additive hash over the raw (latin-1) name bytes, 64-bit."""
     if not name:
         raise ValueError("name must be non-empty")
     h = 0
-    for c in name.encode("utf-8"):
+    for c in name.encode("latin-1"):
         h = (((h >> 13) | (h << 51)) + c) & _MASK64
     return h

@@ -337,6 +337,13 @@ class TestProcessSpecLoading:
         with pytest.raises(SpecInvalid, match="module fixtures need the ntdll"):
             load_process_spec(write_spec(tmp_path, doc))
 
+    @pytest.mark.parametrize("value", ["false", 0, [0]], ids=repr)
+    def test_alias_flag_must_be_json_bool(self, tmp_path, value):
+        doc = scenario_spec_doc()
+        doc["modules"][0]["inline_fixture"]["alias_both_prefixes"] = value
+        with pytest.raises(SpecInvalid, match="alias_both_prefixes"):
+            load_process_spec(write_spec(tmp_path, doc))
+
     def test_missing_ntdll_key(self, tmp_path):
         with pytest.raises(SpecInvalid):
             load_process_spec(write_spec(tmp_path, {"modules": []}))

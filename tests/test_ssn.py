@@ -234,6 +234,13 @@ class TestHashName:
         with pytest.raises(ValueError):
             hash_name("")
 
+    def test_hashes_raw_latin1_bytes(self):
+        # Export names are decoded as latin-1, so the hash must re-encode them
+        # as latin-1 to run over the bytes in the image.
+        assert hash_name(b"Zw\xe9Open".decode("latin-1")) == 0x84901C009E0E90A9
+        with pytest.raises(ValueError):
+            hash_name("Zw\u0100Open")
+
 
 def test_thousand_random_subsets_all_derive(clean_478_ntdll):
     """Randomized neighbor-derivation sweep over one prebuilt clean image,
