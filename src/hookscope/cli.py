@@ -109,7 +109,8 @@ def main() -> None:
 
 def _looks_like_spec(path: Path) -> bool:
     try:
-        head = path.open("rb").read(2)
+        with path.open("rb") as file:
+            head = file.read(2)
     except OSError:
         return False
     return head[:1] in (b"{", b" ", b"\n", b"\t")

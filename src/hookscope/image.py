@@ -127,24 +127,6 @@ class PeImage:
         return NativeExportIndex(self)
 
 
-def _u16(data: bytes, off: int) -> int:
-    if off < 0 or off + 2 > len(data):
-        raise Truncated(f"u16 read at {off:#x} past end ({len(data):#x})")
-    return struct.unpack_from("<H", data, off)[0]
-
-
-def _u32(data: bytes, off: int) -> int:
-    if off < 0 or off + 4 > len(data):
-        raise Truncated(f"u32 read at {off:#x} past end ({len(data):#x})")
-    return struct.unpack_from("<I", data, off)[0]
-
-
-def _u64(data: bytes, off: int) -> int:
-    if off < 0 or off + 8 > len(data):
-        raise Truncated(f"u64 read at {off:#x} past end ({len(data):#x})")
-    return struct.unpack_from("<Q", data, off)[0]
-
-
 def _hex(value: int) -> str:
     """An address as reports and traces spell it: 0x and 16 lowercase hex digits."""
     return f"0x{value:016x}"
@@ -166,7 +148,7 @@ def parse_image(data: bytes, layout: Layout, image_base: int = 0) -> PeImage:
     if data[:2] != DOS_MAGIC:
         raise BadMagic("missing MZ signature")
 
-    e_lfanew = _u32(data, 0x3C)
+    e_lfanew = struct.unpack_from("<I", data, 0x3C)[0]
     if e_lfanew + 4 > len(data) or data[e_lfanew : e_lfanew + 4] != PE_SIGNATURE:
         if e_lfanew + 4 > len(data):
             raise Truncated(f"e_lfanew {e_lfanew:#x} points past the buffer")
@@ -175,9 +157,7 @@ def parse_image(data: bytes, layout: Layout, image_base: int = 0) -> PeImage:
     coff_off = e_lfanew + 4
     if coff_off + 20 > len(data):
         raise Truncated("COFF header extends past the buffer")
-    machine = _u16(data, coff_off)
-    num_sections = _u16(data, coff_off + 2)
-    size_of_optional = _u16(data, coff_off + 16)
+    machine, num_sections, size_of_optional = struct.unpack_from("<2H12xH", data, coff_off)
     if machine not in _MACHINES_64:
         raise Not64Bit(f"machine id {machine:#06x} is not a 64-bit architecture")
 
@@ -185,12 +165,12 @@ def parse_image(data: bytes, layout: Layout, image_base: int = 0) -> PeImage:
     opt_end = opt_off + size_of_optional
     if size_of_optional < 0x70 or opt_end > len(data):
         raise Truncated("optional header truncated")
-    if _u16(data, opt_off) != PE32PLUS_MAGIC:
+    if struct.unpack_from("<H", data, opt_off)[0] != PE32PLUS_MAGIC:
         raise Not64Bit("optional header magic is not PE32+")
 
-    header_image_base = _u64(data, opt_off + 0x18)
-    size_of_headers = _u32(data, opt_off + 0x3C)
-    num_dirs = _u32(data, opt_off + 0x6C)
+    header_image_base = struct.unpack_from("<Q", data, opt_off + 0x18)[0]
+    size_of_headers = struct.unpack_from("<I", data, opt_off + 0x3C)[0]
+    num_dirs = struct.unpack_from("<I", data, opt_off + 0x6C)[0]
     if num_dirs > 16:
         warnings.append(f"NumberOfRvaAndSizes {num_dirs} clamped to 16")
         num_dirs = 16
@@ -202,8 +182,7 @@ def parse_image(data: bytes, layout: Layout, image_base: int = 0) -> PeImage:
         if entry_off + 8 > opt_end:
             warnings.append(f"data directory {i} extends past the optional header")
             break
-        rva = _u32(data, entry_off)
-        size = _u32(data, entry_off + 4)
+        rva, size = struct.unpack_from("<2I", data, entry_off)
         if rva or size:
             directories[DataDirectory(i)] = (rva, size)
 
@@ -214,10 +193,7 @@ def parse_image(data: bytes, layout: Layout, image_base: int = 0) -> PeImage:
         if sh + 40 > len(data):
             raise Truncated(f"section header {i} extends past the buffer")
         name = data[sh : sh + 8].rstrip(b"\x00").decode("latin-1")
-        virtual_size = _u32(data, sh + 8)
-        virtual_rva = _u32(data, sh + 12)
-        raw_size = _u32(data, sh + 16)
-        raw_offset = _u32(data, sh + 20)
+        virtual_size, virtual_rva, raw_size, raw_offset = struct.unpack_from("<4I", data, sh + 8)
         if raw_offset > len(data):
             warnings.append(f"section {name!r} raw offset past buffer; treated as empty")
             raw_offset, raw_size = 0, 0
@@ -315,23 +291,13 @@ def read_at_rva(image: PeImage, rva: int, length: int) -> bytes:
     return image.data[off : off + length]
 
 
-def _read_cstring(image: PeImage, rva: int) -> Optional[str]:
-    try:
-        off = rva_to_offset(image, rva)
-    except UnmappedRva:
-        return None
-    nul = image.data.find(b"\x00", off, min(image.extent, off + _MAX_NAME_LEN))
-    if nul < 0:
-        return None
-    return image.data[off:nul].decode("latin-1")
-
-
 def _read_cstrings(image: PeImage, rvas: Iterable[int]) -> list[Optional[str]]:
-    """`[_read_cstring(image, rva) for rva in rvas]`, in one loop.
+    """The NUL-terminated latin-1 string at each RVA, in one loop.
 
-    A loaded image maps an RVA below its extent to itself, so that layout
-    skips `rva_to_offset`. Each name is searched for on its own, so the work
-    stays within 512 bytes per RVA however far apart the names lie.
+    A string is None when its RVA is unmapped or no NUL ends it within 512
+    bytes. A loaded image maps an RVA below its extent to itself, so that
+    layout skips `rva_to_offset`. Each name is searched for on its own, so
+    the work stays within 512 bytes per RVA however far apart the names lie.
     """
     data = image.data
     find = data.find
@@ -351,6 +317,10 @@ def _read_cstrings(image: PeImage, rvas: Iterable[int]) -> list[Optional[str]]:
     return names
 
 
+def _read_cstring(image: PeImage, rva: int) -> Optional[str]:
+    return _read_cstrings(image, (rva,))[0]
+
+
 def enumerate_exports(image: PeImage) -> list[ExportEntry]:
     """Resolve the export directory into entries, flagging forwarders.
 
@@ -363,13 +333,10 @@ def enumerate_exports(image: PeImage) -> list[ExportEntry]:
         return []
     dir_rva, dir_size = directory
     try:
-        ordinal_base = _u32(read_at_rva(image, dir_rva + 16, 4), 0)
-        num_funcs = _u32(read_at_rva(image, dir_rva + 20, 4), 0)
-        num_names = _u32(read_at_rva(image, dir_rva + 24, 4), 0)
-        aof = _u32(read_at_rva(image, dir_rva + 28, 4), 0)
-        aon = _u32(read_at_rva(image, dir_rva + 32, 4), 0)
-        aoo = _u32(read_at_rva(image, dir_rva + 36, 4), 0)
-    except (Truncated, UnmappedRva) as exc:
+        ordinal_base, num_funcs, num_names, aof, aon, aoo = struct.unpack(
+            "<6I", read_at_rva(image, dir_rva + 16, 24)
+        )
+    except UnmappedRva as exc:
         raise CorruptDirectory(f"export directory unreadable: {exc}") from exc
 
     if num_funcs > _MAX_EXPORT_COUNT or num_names > _MAX_EXPORT_COUNT:
@@ -380,7 +347,7 @@ def enumerate_exports(image: PeImage) -> list[ExportEntry]:
         functions_raw = read_at_rva(image, aof, 4 * num_funcs)
         names_raw = read_at_rva(image, aon, 4 * num_names)
         ordinals_raw = read_at_rva(image, aoo, 2 * num_names)
-    except (Truncated, UnmappedRva) as exc:
+    except UnmappedRva as exc:
         raise CorruptDirectory(f"export tables inconsistent with buffer: {exc}") from exc
 
     functions = struct.unpack(f"<{num_funcs}I", functions_raw)
@@ -438,21 +405,26 @@ def _sibling_spelling(name: str) -> Optional[str]:
 
 
 class NativeExportIndex:
-    """The named, non-forwarded Nt/Zw exports of one image, from one walk.
+    """The named, non-forwarded exports of one image, from one walk.
 
-    `owner` maps each name to the first address the name table gives it; an
-    address that only repeated names reach is no stub and is logged once.
+    `owner` maps each Nt/Zw name to the first address the name table gives
+    it; an address that only repeated names reach is no stub and is logged
+    once. `other` maps every other name to its first address.
     `canonical_by_rva` keys each owned address by its Zw-preferred spelling
     and is built on first use. Build the index through `PeImage.native_exports`.
     """
 
     def __init__(self, image: PeImage) -> None:
         self.owner: dict[str, int] = {}
+        self.other: dict[str, int] = {}
         repeats: dict[int, str] = {}  # address of a repeated name -> first such name
         for name, _, rva, forwarded_to in enumerate_exports(image):
-            if forwarded_to is None and _is_native_name(name):
-                if self.owner.setdefault(name, rva) != rva:
-                    repeats.setdefault(rva, name)
+            if name is None or forwarded_to is not None:
+                continue
+            if not _is_native_name(name):
+                self.other.setdefault(name, rva)
+            elif self.owner.setdefault(name, rva) != rva:
+                repeats.setdefault(rva, name)
         owned = set(self.owner.values()) if repeats else set()
         shadowed = [name for rva, name in repeats.items() if rva not in owned]
         if shadowed:
@@ -472,7 +444,8 @@ class NativeExportIndex:
         return canonical
 
     def resolve(self, name: str) -> Optional[int]:
-        """RVA of `name`, or of its sibling spelling when only that is exported."""
+        """RVA of the Nt/Zw `name`, or of its sibling spelling when only that
+        is exported; None for other names, which `other` holds."""
         rva = self.owner.get(name)
         if rva is None and _is_native_name(name):
             rva = self.owner.get(_sibling_spelling(name))
@@ -491,7 +464,7 @@ def enumerate_imports(image: PeImage) -> list[ImportModule]:
         desc_rva = dir_rva + idx * 20
         try:
             desc = read_at_rva(image, desc_rva, 20)
-        except (Truncated, UnmappedRva) as exc:
+        except UnmappedRva as exc:
             raise CorruptDirectory(f"import descriptor {idx} unreadable: {exc}") from exc
         if desc == b"\x00" * 20:
             break
@@ -510,8 +483,8 @@ def enumerate_imports(image: PeImage) -> list[ImportModule]:
         slots: list[IatSlot] = []
         for k in range(_MAX_IMPORT_SLOTS):
             try:
-                lookup_val = _u64(read_at_rva(image, lookup_rva + 8 * k, 8), 0)
-            except (Truncated, UnmappedRva):
+                lookup_val = struct.unpack("<Q", read_at_rva(image, lookup_rva + 8 * k, 8))[0]
+            except UnmappedRva:
                 log.warning("lookup table for %r truncated at slot %d", dll_name, k)
                 break
             if lookup_val == 0:
@@ -526,8 +499,8 @@ def enumerate_imports(image: PeImage) -> list[ImportModule]:
                     continue
                 name_or_ordinal = imported
             try:
-                bound = _u64(read_at_rva(image, iat_rva + 8 * k, 8), 0)
-            except (Truncated, UnmappedRva):
+                bound = struct.unpack("<Q", read_at_rva(image, iat_rva + 8 * k, 8))[0]
+            except UnmappedRva:
                 log.warning("IAT slot %d of %r outside the buffer; skipped", k, dll_name)
                 continue
             slots.append(IatSlot(name_or_ordinal, iat_rva + 8 * k, bound))

@@ -26,7 +26,6 @@ A key or value of the wrong JSON type, or an address outside 64 bits, is a
 
 from __future__ import annotations
 
-import functools
 import json
 from pathlib import Path
 from typing import Any, Mapping, Union
@@ -42,7 +41,7 @@ from .fixtures import (
     build_synthetic_module,
     build_synthetic_ntdll,
 )
-from .image import Layout, PeImage, _is_native_name, enumerate_exports, parse_image
+from .image import Layout, PeImage, _is_native_name, parse_image
 from .simulate import ProcessModel, normalize_module_name
 from .table import RewriteConfig
 
@@ -190,27 +189,15 @@ def load_process_spec(path: Union[str, Path]) -> ProcessModel:
 
     ntdll_image = materialize(ntdll_doc)
 
-    @functools.cache
-    def exports() -> dict[str, int]:
-        # A repeated name takes its first address, as `NativeExportIndex.owner` does.
-        first: dict[str, int] = {}
-        for entry in enumerate_exports(ntdll_image):
-            if entry.name is not None and entry.forwarded_to is None:
-                first.setdefault(entry.name, entry.rva)
-        return first
-
     def resolve(dll: str, fn: Union[str, int]) -> int:
         if normalize_module_name(dll) != normalize_module_name(ntdll_name):
             raise UnresolvedImport(
                 f"only imports from {ntdll_name!r} can be resolved, got {dll!r}"
             )
         if isinstance(fn, str):
-            # Nt/Zw names go through the image's own index, which scan and
-            # simulate reuse; only other names need the full export walk.
-            if _is_native_name(fn):
-                rva = ntdll_image.native_exports.resolve(fn)
-            else:
-                rva = exports().get(fn)
+            # The image's own index, which scan and simulate reuse.
+            index = ntdll_image.native_exports
+            rva = index.resolve(fn) if _is_native_name(fn) else index.other.get(fn)
             if rva is not None:
                 return ntdll_image.image_base + rva
         raise UnresolvedImport(f"{ntdll_name} does not export {fn!r}")

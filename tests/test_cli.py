@@ -6,6 +6,7 @@ import json
 import struct
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,15 @@ def scenario_spec_doc(hooks=True, tamper=None, imports=None):
     }
 
 
+def other_import_spec_doc():
+    """The scenario spec whose ntdll also exports RtlFoo at a stub, and whose
+    kernelbase also imports it."""
+    doc = scenario_spec_doc()
+    doc["modules"][0]["inline_fixture"]["functions"].append(["RtlFoo", 202])
+    doc["modules"][1]["inline_fixture"]["imports"].append(["ntdll.dll", "RtlFoo"])
+    return doc
+
+
 def write_spec(tmp_path: Path, doc) -> Path:
     path = tmp_path / "process.json"
     path.write_text(json.dumps(doc))
@@ -142,7 +152,8 @@ def test_exit_holds_no_process(runner, tmp_path, args, exit_code):
 @pytest.fixture
 def scenario_files(tmp_path, scenario_process):
     """Argument fields for the scenario: a path-form spec (`spec`) over dumps of
-    its modules, the ntdll dump, and the inline-fixture spec (`inline`)."""
+    its modules, the ntdll dump, the inline-fixture spec (`inline`), and an
+    inline spec that also imports a name other than Nt/Zw (`other`)."""
     modules = []
     for entry in scenario_process.modules:
         dump = tmp_path / f"{entry.name}.dump"
@@ -154,11 +165,13 @@ def scenario_files(tmp_path, scenario_process):
         "ntdll": "ntdll",
         "config": {"stub_base": hex(config.stub_base)},
     }
-    inline_dir = tmp_path / "inline"
+    inline_dir, other_dir = tmp_path / "inline", tmp_path / "other"
     inline_dir.mkdir()
+    other_dir.mkdir()
     return {
         "spec": write_spec(tmp_path, doc),
         "inline": write_spec(inline_dir, scenario_spec_doc()),
+        "other": write_spec(other_dir, other_import_spec_doc()),
         "ntdll": tmp_path / "ntdll.dump",
         "base": f"{NTDLL_BASE:x}",
         "tmp": tmp_path,
@@ -176,12 +189,22 @@ class TestOneExportWalkPerCommand:
             (["ssn", "{ntdll}", "--method", "halos", "--base", "{base}"], 0),
             (["simulate", "{spec}", "--force", "kernelbase"], 0),
             (["scan", "{inline}"], 1),
+            (["scan", "{other}"], 1),
         ],
     )
     def test_one_walk(self, runner, scenario_files, export_walks, command, exit_code):
         result = runner.invoke(main, [arg.format(**scenario_files) for arg in command])
         assert result.exit_code == exit_code, result.output
         assert len(export_walks) == 1
+
+
+@pytest.mark.parametrize("command", [["scan", "{spec}"], ["scan", "{ntdll}", "--base", "{base}"]])
+def test_scan_closes_its_input(runner, scenario_files, command):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        result = runner.invoke(main, [arg.format(**scenario_files) for arg in command])
+    assert result.exit_code == 1, result.output
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestLazyCanonicalNames:
@@ -330,6 +353,27 @@ class TestProcessSpecLoading:
         doc = scenario_spec_doc(imports=[["ntdll.dll", "NtDoesNotExist"]])
         with pytest.raises(UnresolvedImport):
             load_process_spec(write_spec(tmp_path, doc))
+
+    def test_forwarded_import_rejected(self, runner, tmp_path):
+        image = build_synthetic_ntdll(
+            NtdllSpec(
+                functions=positioned_functions(8),
+                forwarders=(("RtlForwarded", "other.RtlElsewhere"),),
+            ),
+            image_base=NTDLL_BASE,
+        )
+        (tmp_path / "ntdll.dump").write_bytes(image.data)
+        user = {"type": "module", "imports": [["ntdll.dll", "RtlForwarded"]]}
+        doc = {
+            "modules": [
+                {"name": "ntdll", "base": f"0x{NTDLL_BASE:x}", "path": "ntdll.dump"},
+                {"name": "user", "base": "0x7ff600000000", "inline_fixture": user},
+            ],
+            "ntdll": "ntdll",
+        }
+        result = runner.invoke(main, ["scan", str(write_spec(tmp_path, doc))])
+        assert_typed_exit(result)
+        assert "does not export 'RtlForwarded'" in result.output
 
     def test_module_fixture_as_ntdll_rejected(self, tmp_path):
         doc = scenario_spec_doc()
@@ -823,6 +867,19 @@ class TestTableCommand:
             ],
         )
         assert result.exit_code == 2
+
+    def test_extra_name_other_than_nt_zw_exit_two(self, runner, tmp_path):
+        # Table entries are Nt/Zw stubs; an exported RtlFoo is not one.
+        functions = (*((name, i) for i, name in enumerate(BASE_FUNCTIONS)), ("RtlFoo", 6))
+        image = build_synthetic_ntdll(NtdllSpec(functions=functions))
+        dump = tmp_path / "ntdll.dump"
+        dump.write_bytes(image.data)
+        args = ["table", str(dump), "--base", f"{image.image_base:x}"]
+        args += ["--out", str(tmp_path / "t.bin")]
+        assert runner.invoke(main, args).exit_code == 0
+        result = runner.invoke(main, [*args, "--extra", "RtlFoo"])
+        assert_typed_exit(result)
+        assert "RtlFoo absent from exports" in result.output
 
     def test_negative_derived_ssn_exit_two(self, runner, tmp_path):
         # a hooked stub whose nearest intact neighbour, one stride below,

@@ -32,7 +32,6 @@ from hookscope.image import (
     ExportEntry,
     IatSlot,
     NativeExportIndex,
-    _read_cstring,
     _read_cstrings,
     offset_to_rva,
     read_at_rva,
@@ -242,6 +241,19 @@ class TestEnumerateExports:
         assert peak < len(data) // 16
 
 
+def reference_read_cstring(image, rva):
+    """The NUL-terminated name at one RVA, or None when the RVA is unmapped
+    or no NUL ends it within 512 bytes."""
+    try:
+        off = rva_to_offset(image, rva)
+    except UnmappedRva:
+        return None
+    nul = image.data.find(b"\x00", off, min(image.extent, off + 512))
+    if nul < 0:
+        return None
+    return image.data[off:nul].decode("latin-1")
+
+
 def reference_enumerate_exports(image):
     """The export walk as a plain loop (a set of named slots, a forwarder
     helper, an unconditional ordinal-only pass); `enumerate_exports` must
@@ -258,7 +270,7 @@ def reference_enumerate_exports(image):
 
     def _forward(rva):
         if dir_rva <= rva < dir_end:
-            return _read_cstring(image, rva)
+            return reference_read_cstring(image, rva)
         return None
 
     entries = []
@@ -292,12 +304,14 @@ def reference_enumerate_exports(image):
     return entries
 
 
-def reference_owner(entries):
-    """Each named, non-forwarded Nt/Zw export's first address, in name-table order."""
+def reference_owner(entries, native=True):
+    """Each named, non-forwarded export's first address, in name-table order:
+    the Nt/Zw names, or with `native=False` every other name."""
     owner = {}
     for e in entries:
-        if isinstance(e.name, str) and e.name[:2] in ("Nt", "Zw") and e.forwarded_to is None:
-            owner.setdefault(e.name, e.rva)
+        if isinstance(e.name, str) and (e.name[:2] in ("Nt", "Zw")) == native:
+            if e.forwarded_to is None:
+                owner.setdefault(e.name, e.rva)
     return owner
 
 
@@ -412,6 +426,7 @@ class TestExportWalkMatchesReference:
         owner = reference_owner(expected)
         index, records = walk(NativeExportIndex)
         assert list(index.owner.items()) == list(owner.items())
+        assert list(index.other.items()) == list(reference_owner(expected, native=False).items())
         # The index walks once more, then logs the addresses no name owns.
         owned = set(owner.values())
         lost = [
@@ -507,7 +522,7 @@ class TestReadCstrings:
         rvas = data.draw(
             st.lists(st.integers(0, 0x5000) | st.sampled_from(interesting), max_size=40)
         )
-        assert _read_cstrings(image, rvas) == [_read_cstring(image, rva) for rva in rvas]
+        assert _read_cstrings(image, rvas) == [reference_read_cstring(image, rva) for rva in rvas]
 
     @pytest.mark.parametrize("layout", [Layout.LOADED, Layout.FILE])
     def test_name_length_bound(self, layout):
